@@ -22,6 +22,17 @@ few blocks (tests and benchmarks record how many), so the
 ``O(log n)``-blocks-per-node shape is preserved and *verified* rather
 than assumed.
 
+Coverage is array work.  A holders x blocks bool matrix is OR-reduced
+over the runs of blocks sharing a level-``i`` prefix (block ``b`` has
+prefix ``b // q**(k-1-i)``), then indexed by the ``N_i`` slice of the
+metric's order matrix: ``any`` over a neighborhood is coverage and
+``argmax`` is the closest holder.  Only *detection* is vectorised.  A
+patch adds a block that may cover a later requirement, so the flagged
+triples are walked sequentially in ``(v, i, tau)`` order, each
+re-checked against the current sets first.  Patches only add blocks,
+so a requirement covered before the walk stays covered, and the result
+equals a full sequential scan.
+
 Note on levels: coverage at level ``i`` concerns prefixes of length
 ``i``; level 0 is trivial for nonempty ``S_v`` (the empty prefix) but is
 still checked, and the top level ``i = k-1`` concerns whole blocks
@@ -30,11 +41,14 @@ inside ``N_{k-1}(v)``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.exceptions import ConstructionError
+import numpy as np
+
+from repro.exceptions import ConstructionError, NamingError
 from repro.graph.roundtrip import RoundtripMetric
 from repro.naming.blocks import BlockSpace
 
@@ -83,52 +97,64 @@ class BlockDistribution:
             set(rng.sample(range(num_blocks), min(blocks_per_node, num_blocks)))
             for _ in range(n)
         ]
+        # (neighborhood level, prefix length) -> first-holder table; see
+        # holders().  Valid for the current ``sets`` only.
+        self._holder_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.patches_applied = self._patch_uncovered()
-        # Cache (vertex, level) -> {prefix -> holder} lookup maps used
-        # by the routing schemes.
-        self._holder_cache: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
 
     # ------------------------------------------------------------------
     # Lemma 4 guarantee
     # ------------------------------------------------------------------
-    def _iter_requirements(self):
-        """Yield every (v, i, tau) coverage requirement of Lemma 4."""
-        k = self._blocks.k
-        prefixes_by_level: List[List[Tuple[int, ...]]] = []
-        for i in range(k):
-            seen = []
-            seen_set = set()
-            for b in range(self._blocks.num_blocks()):
-                tau = self._blocks.block_prefix(b)[:i]
-                if tau not in seen_set:
-                    seen_set.add(tau)
-                    seen.append(tau)
-            prefixes_by_level.append(seen)
-        for v in range(self._metric.n):
-            for i in range(k):
-                for tau in prefixes_by_level[i]:
-                    yield v, i, tau
+    def _run(self, length: int) -> int:
+        """Blocks sharing a length-``length`` prefix are runs of this
+        many consecutive indices."""
+        return self._blocks.q ** (self._blocks.k - 1 - length)
 
-    def _neighborhood(self, v: int, i: int) -> List[int]:
-        return self._metric.level_neighborhood(v, i, self._blocks.k)
+    def _held(self) -> np.ndarray:
+        """``(n, num_blocks)`` bool: ``held[w, b]`` iff ``b in S_w``."""
+        held = np.zeros((self._metric.n, self._blocks.num_blocks()), dtype=bool)
+        rows = np.repeat(np.arange(self._metric.n), [len(s) for s in self.sets])
+        cols = np.fromiter(itertools.chain.from_iterable(self.sets), dtype=np.intp)
+        held[rows, cols] = True
+        return held
 
-    def _covers(self, holder: int, tau: Tuple[int, ...]) -> bool:
-        return any(
-            self._blocks.block_has_prefix(b, tau) for b in self.sets[holder]
-        )
+    def _first_holders(self, held: np.ndarray, i: int, length: int) -> np.ndarray:
+        """``(n, P)`` table of the first node of ``N_i(v)`` storing a
+        block with packed length-``length`` prefix ``p``, or -1."""
+        runs = np.arange(0, held.shape[1], self._run(length))
+        holds = np.logical_or.reduceat(held, runs, axis=1)
+        size = self._metric.level_size(i, self._blocks.k)
+        nbhd = self._metric.order_matrix()[:, :size]
+        inside = holds[nbhd]
+        table = np.take_along_axis(nbhd, inside.argmax(axis=1), axis=1)
+        table[~inside.any(axis=1)] = -1
+        return table
 
     def _patch_uncovered(self) -> int:
         """Deterministically repair any uncovered requirement."""
+        k = self._blocks.k
+        flagged = sorted(
+            (int(v), i, int(p))
+            for i in range(k)
+            for v, p in np.argwhere(self.holders(i) < 0)
+        )
+        if not flagged:
+            return 0
+        held = self._held()
+        order = self._metric.order_matrix()
         patches = 0
-        for v, i, tau in self._iter_requirements():
-            nbhd = self._neighborhood(v, i)
-            if any(self._covers(w, tau) for w in nbhd):
+        for v, i, p in flagged:
+            nbhd = order[v, : self._metric.level_size(i, k)]
+            lo = p * self._run(i)
+            if held[nbhd, lo : lo + self._run(i)].any():
                 continue
-            # Give a block with prefix tau to the least-loaded neighbor.
-            candidates = self._blocks.blocks_with_prefix(tau)
-            target = min(nbhd, key=lambda w: (len(self.sets[w]), w))
-            self.sets[target].add(candidates[0])
+            # Give the first block with prefix tau to the least-loaded
+            # neighbor.
+            target = min(nbhd.tolist(), key=lambda w: (len(self.sets[w]), w))
+            self.sets[target].add(lo)
+            held[target, lo] = True
             patches += 1
+        self._holder_cache.clear()
         return patches
 
     # ------------------------------------------------------------------
@@ -157,6 +183,53 @@ class BlockDistribution:
         """All vertices storing ``block``."""
         return [v for v in range(self._metric.n) if block in self.sets[v]]
 
+    def holders(self, i: int, length: Optional[int] = None) -> np.ndarray:
+        """The read-only ``(n, P)`` first-holder table of level ``i``.
+
+        ``holders(i, length)[v, p]`` is the first node of ``N_i(v)`` (in
+        ``Init_v`` order, i.e. the closest) storing a block whose
+        length-``length`` prefix (default ``i``) packs to ``p``, or -1
+        if none does.  With ``length = k - 1`` the prefixes are the
+        blocks themselves, so ``p`` is a block index.
+        """
+        length = i if length is None else length
+        table = self._holder_cache.get((i, length))
+        if table is None:
+            table = self._first_holders(self._held(), i, length)
+            table.setflags(write=False)
+            self._holder_cache[(i, length)] = table
+        return table
+
+    def block_pointers(self) -> np.ndarray:
+        """Lemma 1's pointer table: ``[u, b]`` is the closest node of
+        ``N_1(u)`` storing block ``b`` (``holders(1, k - 1)``).
+
+        Raises:
+            ConstructionError: if some block has no holder there.
+        """
+        table = self.holders(1, self._blocks.k - 1)
+        if (table < 0).any():
+            u, b = (int(x) for x in np.argwhere(table < 0)[0])
+            raise ConstructionError(
+                f"coverage violated: no holder of block {b} in N_1({u})"
+            )
+        return table
+
+    def _prefix_index(self, tau: Tuple[int, ...]) -> Optional[int]:
+        """Packed index of ``tau`` among its length's prefixes, or
+        ``None`` when no block extends it."""
+        bs = self._blocks
+        if len(tau) > bs.k - 1:
+            raise NamingError(
+                f"block prefixes have length <= k-1={bs.k - 1}, got {len(tau)}"
+            )
+        p = 0
+        for digit in tau:
+            if not 0 <= digit < bs.q:
+                return None
+            p = p * bs.q + digit
+        return p if p * self._run(len(tau)) < bs.num_blocks() else None
+
     def holder_in_neighborhood(
         self, v: int, i: int, tau: Tuple[int, ...]
     ) -> int:
@@ -170,24 +243,24 @@ class BlockDistribution:
             ConstructionError: if coverage is violated (cannot happen
                 after patching; kept as an invariant check).
         """
-        key = (v, i)
-        cache = self._holder_cache.get(key)
-        if cache is not None and tau in cache:
-            return cache[tau]
-        for w in self._neighborhood(v, i):
-            if self._covers(w, tau):
-                self._holder_cache.setdefault(key, {})[tau] = w
-                return w
-        raise ConstructionError(
-            f"coverage violated: no holder of prefix {tau} in N_{i}({v})"
-        )
+        p = self._prefix_index(tau)
+        holder = -1 if p is None else int(self.holders(i, len(tau))[v, p])
+        if holder < 0:
+            raise ConstructionError(
+                f"coverage violated: no holder of prefix {tau} in N_{i}({v})"
+            )
+        return holder
 
     def nearest_holder(self, v: int, tau: Tuple[int, ...]) -> int:
         """The globally closest node to ``v`` (by ``Init_v``) holding a
         block with prefix ``tau`` (used by ExStretch storage rule 3a)."""
-        for w in self._metric.init_order(v):
-            if self._covers(w, tau):
-                return w
+        p = self._prefix_index(tau)
+        if p is not None:
+            lo = p * self._run(len(tau))
+            row = self._metric.order_matrix()[v]
+            inside = self._held()[row, lo : lo + self._run(len(tau))].any(axis=1)
+            if inside.any():
+                return int(row[inside.argmax()])
         raise ConstructionError(f"no node stores any block with prefix {tau}")
 
     # ------------------------------------------------------------------
@@ -195,10 +268,13 @@ class BlockDistribution:
     # ------------------------------------------------------------------
     def verify(self) -> None:
         """Assert both Lemma 4 properties (test/benchmark helper)."""
-        for v, i, tau in self._iter_requirements():
-            assert any(
-                self._covers(w, tau) for w in self._neighborhood(v, i)
-            ), f"(v={v}, i={i}, tau={tau}) uncovered"
+        held = self._held()
+        for i in range(self._blocks.k):
+            missing = np.argwhere(self._first_holders(held, i, i) < 0)
+            if missing.size:
+                v, p = (int(x) for x in missing[0])
+                tau = self._blocks.block_prefix(p * self._run(i))[:i]
+                raise AssertionError(f"(v={v}, i={i}, tau={tau}) uncovered")
         bound = self.per_node_bound()
         for v in range(self._metric.n):
             assert len(self.sets[v]) <= bound, (

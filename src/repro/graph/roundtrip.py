@@ -14,7 +14,9 @@ Section 2 defines, for each node ``v``, the total order ``u <_v w``:
 3. both equal and ``ID_u < ID_w``.
 
 Sorting all of ``V`` by this key yields the sequence ``Init_v`` starting
-with ``v`` itself; the paper's neighborhoods are prefixes of it:
+with ``v`` itself.  :class:`RoundtripMetric` holds every ``Init_v`` as
+one row of an ``(n, n)`` int32 order matrix, filled by row-blocked
+``np.lexsort`` calls; the paper's neighborhoods are prefixes of a row:
 
 * Section 2: ``N(u)`` = first ``sqrt(n)`` nodes of ``Init_u``;
 * Section 3: ``N_i(u)`` = first ``n^{i/k}`` nodes of ``Init_u``;
@@ -39,8 +41,9 @@ from repro.graph.shortest_paths import DistanceOracle
 class RoundtripMetric:
     """Roundtrip-metric structure over a :class:`DistanceOracle`.
 
-    Precomputes ``Init_v`` for every ``v`` lazily and caches it, since
-    the order is consulted many times during scheme construction.
+    All ``Init_v`` orders live in one ``(n, n)`` int32 order matrix
+    (row ``v`` is ``Init_v``), built by :meth:`order_matrix` on first
+    use; neighborhoods are prefixes of its rows.
 
     Args:
         oracle: all-pairs distance oracle of the digraph.
@@ -58,7 +61,7 @@ class RoundtripMetric:
                 f"ids must have length n={n}, got {len(ids)}"
             )
         self._ids = list(ids)
-        self._init_cache: dict[int, List[int]] = {}
+        self._order: Optional[np.ndarray] = None
 
     def __getstate__(self):
         """Pickle without the per-process shared-substrate cache
@@ -103,17 +106,37 @@ class RoundtripMetric:
         """Return whether ``u <_v w`` in the Section 2 total order."""
         return self.order_key(v, u) < self.order_key(v, w)
 
+    def order_matrix(self) -> np.ndarray:
+        """The read-only ``(n, n)`` int32 matrix whose row ``v`` is
+        ``Init_v`` (built on first call).
+
+        Each row block is one ``np.lexsort`` over ``(d(u, v), r(v, u))``
+        with the columns pre-sorted by ID; every sort is stable, so the
+        rows equal ``sorted(range(n), key=lambda u: order_key(v, u))``.
+        Temporaries stay ``O(block * n)``.
+        """
+        if self._order is None:
+            d = self._oracle.d_matrix
+            r = self._oracle.r_matrix
+            n = self.n
+            by_id = np.argsort(np.asarray(self._ids), kind="stable")
+            order = np.empty((n, n), dtype=np.int32)
+            block = max(1, (1 << 17) // max(n, 1))
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                keys = (d[by_id, lo:hi].T, r[lo:hi, by_id])
+                order[lo:hi] = by_id[np.lexsort(keys, axis=-1)]
+            order.setflags(write=False)
+            self._order = order
+        return self._order
+
     def init_order(self, v: int) -> List[int]:
         """Return ``Init_v``: all vertices sorted by ``<_v``.
 
         The first element is always ``v`` itself (its roundtrip distance
         to itself is 0 and weights are positive).
         """
-        cached = self._init_cache.get(v)
-        if cached is None:
-            cached = sorted(range(self.n), key=lambda u: self.order_key(v, u))
-            self._init_cache[v] = cached
-        return list(cached)
+        return self.order_matrix()[v].tolist()
 
     # ------------------------------------------------------------------
     # neighborhoods
@@ -125,7 +148,7 @@ class RoundtripMetric:
         """
         if size < 0:
             raise GraphError(f"neighborhood size must be >= 0, got {size}")
-        return self.init_order(v)[: min(size, self.n)]
+        return self.order_matrix()[v, :size].tolist()
 
     def sqrt_neighborhood(self, v: int) -> List[int]:
         """Section 2's ``N(v)``: the first ``ceil(sqrt(n))`` nodes."""
@@ -137,10 +160,13 @@ class RoundtripMetric:
         ``N_0(v)`` is ``{v}`` (the first node of ``Init_v``) and
         ``N_k(v)`` is all of ``V``.
         """
+        return self.neighborhood(v, self.level_size(i, k))
+
+    def level_size(self, i: int, k: int) -> int:
+        """``|N_i(v)| = ceil(n^{i/k})``, the same for every ``v``."""
         if not (0 <= i <= k):
             raise GraphError(f"level i={i} out of range [0, {k}]")
-        size = int(math.ceil(self.n ** (i / k)))
-        return self.neighborhood(v, size)
+        return int(math.ceil(self.n ** (i / k)))
 
     def ball(self, v: int, radius: float) -> List[int]:
         """Section 4's ``N^d(v)``: all ``w`` with ``r(v, w) <= radius``."""

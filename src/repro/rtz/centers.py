@@ -18,6 +18,8 @@ import math
 import random
 from typing import List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.exceptions import ConstructionError
 from repro.graph.roundtrip import RoundtripMetric
 
@@ -60,15 +62,15 @@ class CenterAssignment:
             raise ConstructionError("landmark set A must be non-empty")
         self._metric = metric
         self.centers: List[int] = sorted(set(centers))
-        n = metric.n
-        self._home: List[int] = []
-        self._r_to_a: List[float] = []
-        for v in range(n):
-            best = min(
-                self.centers, key=lambda c: (metric.r(v, c), c)
-            )
-            self._home.append(best)
-            self._r_to_a.append(metric.r(v, best))
+        # One argmin over the sorted center columns: its first minimum
+        # is the (r(v, c), c) tie-break.
+        idx = np.asarray(self.centers, dtype=np.int64)
+        to_centers = metric.oracle.r_matrix[:, idx]
+        best = to_centers.argmin(axis=1)
+        self._home: List[int] = idx[best].tolist()
+        self._r_to_a: List[float] = to_centers[
+            np.arange(metric.n), best
+        ].tolist()
         # cluster membership is O(n^2) to enumerate and only needed on
         # the build path (direct tables, size accounting); computed
         # lazily so store-rehydrated assignments never pay for it
@@ -103,16 +105,11 @@ class CenterAssignment:
         """``C(v)`` for every ``v``: ``u in C(v)`` iff ``r(u, v) <
         r(v, A)`` (lazily computed, cached)."""
         if self._clusters is None:
-            metric = self._metric
-            clusters: List[Set[int]] = []
-            for v in range(metric.n):
-                bound = self._r_to_a[v]
-                clusters.append({
-                    u
-                    for u in range(metric.n)
-                    if u != v and metric.r(u, v) < bound - 1e-12
-                })
-            self._clusters = clusters
+            # member[v, u] iff r(u, v) < r(v, A) - 1e-12, u != v
+            bound = np.asarray(self._r_to_a) - 1e-12
+            member = self._metric.oracle.r_matrix.T < bound[:, None]
+            np.fill_diagonal(member, False)
+            self._clusters = [set(np.flatnonzero(row).tolist()) for row in member]
         return self._clusters
 
     @property

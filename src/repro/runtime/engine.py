@@ -766,8 +766,7 @@ def compile_knowledge(
     n: int,
     label_tables: Sequence[Sequence],
     resolve,
-    block_ptr_tables: Sequence[dict],
-    num_blocks: int,
+    block_ptr: np.ndarray,
     block_of_vertex,
     tables: str = "dense",
 ) -> DenseKnowledge:
@@ -780,9 +779,8 @@ def compile_knowledge(
             Fig. 3 cases 1 and 3 tables, in any keying).
         resolve: key -> destination vertex (the scheme's name/wild
             resolution).
-        block_ptr_tables: per-node block-index -> holder-vertex dicts
-            (case 2).
-        num_blocks: size of the block space.
+        block_ptr: ``(n, num_blocks)`` block-index -> holder-vertex
+            array (case 2).
         block_of_vertex: vertex -> responsible block index.
         tables: ``"dense"`` builds the ``(n, n)`` bool matrix;
             ``"blocked"`` builds the sorted-key :class:`SparseKnowledge`
@@ -791,10 +789,7 @@ def compile_knowledge(
     Returns:
         A :class:`DenseKnowledge` (or :class:`SparseKnowledge`).
     """
-    block_ptr = np.full((n, num_blocks), -1, dtype=np.int64)
-    for u in range(n):
-        for b, holder in block_ptr_tables[u].items():
-            block_ptr[u, b] = holder
+    block_ptr = np.asarray(block_ptr, dtype=np.int64)
     bov = np.array([block_of_vertex(v) for v in range(n)], dtype=np.int64)
     if tables == "blocked":
         raw_keys = [

@@ -23,7 +23,8 @@ header), each bounded by ``r + d``, giving stretch 6 (Lemma 3).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, List, Optional, Sequence
 
 from repro.dictionary.distribution import BlockDistribution
 from repro.exceptions import ConstructionError, TableLookupError
@@ -42,10 +43,6 @@ from repro.runtime.scheme import (
 )
 from repro.api.registry import ParamSpec, register_scheme
 from repro.rtz.routing import R3Label, RTZStretch3, shared_substrate
-
-#: internal modes (Fig. 3's Outbound/Inbound)
-_OUTBOUND = "s6o"
-_INBOUND = "s6i"
 
 
 class StretchSixScheme(RoutingScheme):
@@ -68,6 +65,10 @@ class StretchSixScheme(RoutingScheme):
     #: worst-case roundtrip stretch proved in Lemma 3
     STRETCH_BOUND = 6.0
 
+    #: internal header modes (Fig. 3's Outbound/Inbound)
+    _outbound = "s6o"
+    _inbound = "s6i"
+
     def __init__(
         self,
         metric: RoundtripMetric,
@@ -76,14 +77,26 @@ class StretchSixScheme(RoutingScheme):
         substrate: Optional[RTZStretch3] = None,
         blocks_per_node: Optional[int] = None,
     ):
+        if naming.n != metric.n:
+            raise ConstructionError(
+                f"naming covers {naming.n} nodes, graph has {metric.n}"
+            )
+        self._naming = naming
+        self._build(metric, rng, substrate, blocks_per_node)
+
+    def _build(
+        self,
+        metric: RoundtripMetric,
+        rng: Optional[random.Random],
+        substrate: Optional[RTZStretch3],
+        blocks_per_node: Optional[int],
+    ) -> None:
+        """Build the substrate, the dictionary distribution and storage
+        items (1)-(3), keyed by :meth:`name_of` over the slots of
+        :meth:`_slot_vertices`."""
         rng = rng or random.Random(0)
         n = metric.n
-        if naming.n != n:
-            raise ConstructionError(
-                f"naming covers {naming.n} nodes, graph has {n}"
-            )
         self._metric = metric
-        self._naming = naming
         self.rtz = (
             substrate if substrate is not None else shared_substrate(metric, rng)
         )
@@ -91,26 +104,30 @@ class StretchSixScheme(RoutingScheme):
         self.distribution = BlockDistribution(
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
-
+        names = [self.name_of(v) for v in range(n)]
+        labels = [self.rtz.label(v) for v in range(n)]
         # (1) neighborhood labels: per node, name -> R3 label.
-        self._near: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for v in metric.sqrt_neighborhood(u):
-                self._near[u][naming.name_of(v)] = self.rtz.label(v)
-        # (2) block pointers: per node, block index -> dictionary vertex.
-        self._block_ptr: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in range(self.blocks.num_blocks()):
-                tau = self.blocks.block_prefix(b)
-                holder = self.distribution.holder_in_neighborhood(u, 1, tau)
-                self._block_ptr[u][b] = holder
+        self._near: List[Dict[int, R3Label]] = [
+            {names[v]: labels[v] for v in metric.sqrt_neighborhood(u)}
+            for u in range(n)
+        ]
+        # (2) block pointers: (n, num_blocks), block index -> the
+        # dictionary vertex serving it.
+        self._block_ptr = self.distribution.block_pointers()
         # (3) dictionary slices: per node, name -> R3 label for every
-        # name in every stored block.
-        self._dict: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in self.distribution.blocks_of(u):
-                for j in self.blocks.block_members(b):
-                    self._dict[u][j] = self.rtz.label(naming.vertex_of(j))
+        # vertex of every slot in every stored block.
+        by_block = [
+            [
+                (names[x], labels[x])
+                for j in self.blocks.block_members(b)
+                for x in self._slot_vertices(j)
+            ]
+            for b in range(self.blocks.num_blocks())
+        ]
+        self._dict: List[Dict[int, R3Label]] = [
+            dict(chain.from_iterable(by_block[b] for b in self.distribution.sets[u]))
+            for u in range(n)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -128,6 +145,15 @@ class StretchSixScheme(RoutingScheme):
     def vertex_of(self, name: int) -> int:
         return self._naming.vertex_of(name)
 
+    def _slot_of(self, name: int) -> int:
+        """The name-space slot ``name`` is stored under (permutation
+        names are their own slots)."""
+        return name
+
+    def _slot_vertices(self, slot: int) -> Sequence[int]:
+        """The vertices whose names live in ``slot``."""
+        return (self._naming.vertex_of(slot),)
+
     # ------------------------------------------------------------------
     # local lookups (packet-time legal: only u's own tables)
     # ------------------------------------------------------------------
@@ -140,8 +166,8 @@ class StretchSixScheme(RoutingScheme):
 
     def _lookup_dict_node(self, u: int, dest_name: int) -> int:
         """``GetLookupNodeID`` of Fig. 3 (case 2)."""
-        block = self.blocks.block_of(dest_name)
-        return self._block_ptr[u][block]
+        block = self.blocks.block_of(self._slot_of(dest_name))
+        return int(self._block_ptr[u, block])
 
     # ------------------------------------------------------------------
     # forwarding (Fig. 3)
@@ -153,14 +179,14 @@ class StretchSixScheme(RoutingScheme):
         elif mode == RETURN_PACKET:
             src_label: R3Label = header["src_label"]
             header = {
-                "mode": _INBOUND,
+                "mode": self._inbound,
                 "dest": header["dest"],
                 "src_label": src_label,
                 "next_label": src_label,
                 "dict_node": None,
                 "leg": self.rtz.begin_leg(at, src_label),
             }
-        elif mode == _OUTBOUND and at == header["dict_node"]:
+        elif mode == self._outbound and at == header["dict_node"]:
             # Remote dictionary lookup: this node serves the block.
             dest_label = self._dict[at].get(header["dest"])
             if dest_label is None:
@@ -176,9 +202,9 @@ class StretchSixScheme(RoutingScheme):
         port, leg_mode = self.rtz.leg_step(at, label, header["leg"])
         if port is None:
             # Arrived at the current leg's endpoint.
-            if header["mode"] == _OUTBOUND and header["dict_node"] is None:
+            if header["mode"] == self._outbound and header["dict_node"] is None:
                 return Deliver(header)
-            if header["mode"] == _INBOUND:
+            if header["mode"] == self._inbound:
                 return Deliver(header)
             # Arrived at the dictionary node: reprocess in this call.
             return self.forward(at, header)
@@ -192,7 +218,7 @@ class StretchSixScheme(RoutingScheme):
         dest_label = self._lookup_r3(at, dest_name)
         if dest_label is not None:
             return {
-                "mode": _OUTBOUND,
+                "mode": self._outbound,
                 "dest": dest_name,
                 "src_label": src_label,
                 "next_label": dest_label,
@@ -200,9 +226,9 @@ class StretchSixScheme(RoutingScheme):
                 "leg": self.rtz.begin_leg(at, dest_label),
             }
         dict_node = self._lookup_dict_node(at, dest_name)
-        dict_label = self._near[at][self._naming.name_of(dict_node)]
+        dict_label = self._near[at][self.name_of(dict_node)]
         return {
-            "mode": _OUTBOUND,
+            "mode": self._outbound,
             "dest": dest_name,
             "src_label": src_label,
             "next_label": dict_label,
@@ -224,8 +250,7 @@ class StretchSixScheme(RoutingScheme):
             (self._near, self._dict),
             self.vertex_of,
             self._block_ptr,
-            self.blocks.num_blocks(),
-            lambda v: self.blocks.block_of(self.name_of(v)),
+            lambda v: self.blocks.block_of(self._slot_of(self.name_of(v))),
             tables=tables,
         )
 
@@ -234,8 +259,8 @@ class StretchSixScheme(RoutingScheme):
         segment; the header is structurally constant within each
         (``dict_node`` is an id until the lookup, ``None`` after)."""
         return compile_fig3_routes(
-            self, _OUTBOUND, _INBOUND, self._compiled_knowledge(tables),
-            tables=tables,
+            self, self._outbound, self._inbound,
+            self._compiled_knowledge(tables), tables=tables,
         )
 
     # ------------------------------------------------------------------

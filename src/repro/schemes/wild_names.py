@@ -28,32 +28,23 @@ the slots — the constant blow-up the paper claims, measured by
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.dictionary.distribution import BlockDistribution
-from repro.exceptions import ConstructionError, TableLookupError
-from repro.graph.digraph import Digraph
+from repro.exceptions import ConstructionError
 from repro.graph.roundtrip import RoundtripMetric
-from repro.naming.blocks import BlockSpace, sqrt_block_space
 from repro.naming.hashing import HashedNaming
-from repro.runtime.scheme import (
-    Decision,
-    Deliver,
-    Forward,
-    Header,
-    NEW_PACKET,
-    RETURN_PACKET,
-    RoutingScheme,
-)
 from repro.api.registry import ParamSpec, register_scheme
-from repro.rtz.routing import R3Label, RTZStretch3, shared_substrate
-
-_OUTBOUND = "w6o"
-_INBOUND = "w6i"
+from repro.rtz.routing import RTZStretch3
+from repro.schemes.stretch6 import StretchSixScheme
 
 
-class WildNameStretchSix(RoutingScheme):
+class WildNameStretchSix(StretchSixScheme):
     """Stretch-6 TINN routing addressed by arbitrary unique names.
+
+    The Section 2 scheme with every table keyed by wild names: the
+    forwarding machine is :class:`StretchSixScheme`'s, the block of a
+    wild name is the block of its hash slot, and each slot of a stored
+    block contributes one dictionary entry per vertex in its bucket.
 
     Args:
         metric: roundtrip metric of the graph.
@@ -66,7 +57,8 @@ class WildNameStretchSix(RoutingScheme):
 
     name = "stretch-6 (wild names)"
 
-    STRETCH_BOUND = 6.0
+    _outbound = "w6o"
+    _inbound = "w6i"
 
     def __init__(
         self,
@@ -76,51 +68,12 @@ class WildNameStretchSix(RoutingScheme):
         substrate: Optional[RTZStretch3] = None,
         blocks_per_node: Optional[int] = None,
     ):
-        rng = rng or random.Random(0)
-        n = metric.n
-        if hashed.n != n:
+        if hashed.n != metric.n:
             raise ConstructionError(
-                f"hashed naming covers {hashed.n} nodes, graph has {n}"
+                f"hashed naming covers {hashed.n} nodes, graph has {metric.n}"
             )
-        self._metric = metric
         self._hashed = hashed
-        self.rtz = (
-            substrate if substrate is not None else shared_substrate(metric, rng)
-        )
-        self.blocks: BlockSpace = sqrt_block_space(n)
-        self.distribution = BlockDistribution(
-            metric, self.blocks, rng, blocks_per_node=blocks_per_node
-        )
-
-        # (1) neighborhood labels keyed by WILD name.
-        self._near: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for v in metric.sqrt_neighborhood(u):
-                self._near[u][hashed.wild_of_vertex(v)] = self.rtz.label(v)
-        # (2) block pointers over hash slots.
-        self._block_ptr: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in range(self.blocks.num_blocks()):
-                tau = self.blocks.block_prefix(b)
-                self._block_ptr[u][b] = self.distribution.holder_in_neighborhood(
-                    u, 1, tau
-                )
-        # (3) dictionary slices: for every stored block, every slot in
-        # it, and every vertex in the slot's bucket, one entry keyed by
-        # the vertex's wild name.
-        self._dict: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in self.distribution.blocks_of(u):
-                for slot in self.blocks.block_members(b):
-                    for vertex in hashed.bucket(slot):
-                        self._dict[u][
-                            hashed.wild_of_vertex(vertex)
-                        ] = self.rtz.label(vertex)
-
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> Digraph:
-        return self._metric.oracle.graph
+        self._build(metric, rng, substrate, blocks_per_node)
 
     @property
     def hashed(self) -> HashedNaming:
@@ -135,117 +88,11 @@ class WildNameStretchSix(RoutingScheme):
         """Resolve a wild name (preprocessing/verification only)."""
         return self._hashed.resolve(name)
 
-    # ------------------------------------------------------------------
-    # local lookups
-    # ------------------------------------------------------------------
-    def _lookup_r3(self, u: int, wild: int) -> Optional[R3Label]:
-        label = self._near[u].get(wild)
-        if label is None:
-            label = self._dict[u].get(wild)
-        return label
+    def _slot_of(self, name: int) -> int:
+        return self._hashed.slot_of_wild(name)
 
-    def _lookup_dict_node(self, u: int, wild: int) -> int:
-        slot = self._hashed.slot_of_wild(wild)
-        return self._block_ptr[u][self.blocks.block_of(slot)]
-
-    # ------------------------------------------------------------------
-    # forwarding (same machine as Fig. 3, wild-name keyed)
-    # ------------------------------------------------------------------
-    def forward(self, at: int, header: Header) -> Decision:
-        mode = header["mode"]
-        if mode == NEW_PACKET:
-            header = self._start_outbound(at, header)
-        elif mode == RETURN_PACKET:
-            src_label: R3Label = header["src_label"]
-            header = {
-                "mode": _INBOUND,
-                "dest": header["dest"],
-                "src_label": src_label,
-                "next_label": src_label,
-                "dict_node": None,
-                "leg": self.rtz.begin_leg(at, src_label),
-            }
-        elif mode == _OUTBOUND and at == header["dict_node"]:
-            dest_label = self._dict[at].get(header["dest"])
-            if dest_label is None:
-                raise TableLookupError(
-                    f"dictionary node {at} lacks wild entry "
-                    f"{header['dest']}"
-                )
-            header = dict(header)
-            header["dict_node"] = None
-            header["next_label"] = dest_label
-            header["leg"] = self.rtz.begin_leg(at, dest_label)
-
-        label: R3Label = header["next_label"]
-        port, leg_mode = self.rtz.leg_step(at, label, header["leg"])
-        if port is None:
-            if header["mode"] == _OUTBOUND and header["dict_node"] is None:
-                return Deliver(header)
-            if header["mode"] == _INBOUND:
-                return Deliver(header)
-            return self.forward(at, header)
-        out = dict(header)
-        out["leg"] = leg_mode
-        return Forward(port, out)
-
-    def _start_outbound(self, at: int, header: Header) -> Header:
-        wild = header["dest"]
-        src_label = self.rtz.label(at)
-        dest_label = self._lookup_r3(at, wild)
-        if dest_label is not None:
-            return {
-                "mode": _OUTBOUND,
-                "dest": wild,
-                "src_label": src_label,
-                "next_label": dest_label,
-                "dict_node": None,
-                "leg": self.rtz.begin_leg(at, dest_label),
-            }
-        dict_node = self._lookup_dict_node(at, wild)
-        dict_label = self._near[at][self._hashed.wild_of_vertex(dict_node)]
-        return {
-            "mode": _OUTBOUND,
-            "dest": wild,
-            "src_label": src_label,
-            "next_label": dict_label,
-            "dict_node": dict_node,
-            "leg": self.rtz.begin_leg(at, dict_label),
-        }
-
-    # ------------------------------------------------------------------
-    # compiled execution
-    # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
-        """Identical journey shape to the permutation-name scheme —
-        only the planner's knowledge matrices are keyed through the
-        wild-name hash reduction."""
-        from repro.runtime.engine import compile_knowledge
-        from repro.schemes.stretch6 import compile_fig3_routes
-
-        knowledge = compile_knowledge(
-            self._metric.n,
-            (self._near, self._dict),
-            self._hashed.resolve,
-            self._block_ptr,
-            self.blocks.num_blocks(),
-            lambda v: self.blocks.block_of(self._hashed.slot_of_vertex(v)),
-            tables=tables,
-        )
-        return compile_fig3_routes(
-            self, _OUTBOUND, _INBOUND, knowledge, tables=tables
-        )
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    def table_entries(self, vertex: int) -> int:
-        return (
-            len(self._near[vertex])
-            + len(self._block_ptr[vertex])
-            + len(self._dict[vertex])
-            + self.rtz.table_entries(vertex)
-        )
+    def _slot_vertices(self, slot: int) -> Sequence[int]:
+        return self._hashed.bucket(slot)
 
     def blow_up_factor(self, reference_entries: Sequence[int]) -> float:
         """Ratio of this scheme's mean table to a reference scheme's

@@ -96,6 +96,34 @@ class TestLemma4GeneralK:
         dist.verify()
         assert dist.patches_applied >= 0  # typically > 0 here
 
+    @pytest.mark.parametrize(
+        "n,k,budget", [(32, 2, 1), (40, 3, 1), (40, 3, 2), (50, 4, 1), (27, 3, None)]
+    )
+    def test_patch_walk_matches_sequential_scan(self, n, k, budget):
+        """Reference: sample, then scan every (v, i, tau) requirement in
+        order, patching each one the current sets leave uncovered."""
+        metric = make_metric(n, 40 + n)
+        bs = BlockSpace(n, k)
+        dist = BlockDistribution(metric, bs, random.Random(k), blocks_per_node=budget)
+
+        rng = random.Random(k)
+        size = budget or min(bs.num_blocks(), int(3 * math.log(n)) + 1)
+        sets = [set(rng.sample(range(bs.num_blocks()), size)) for _ in range(n)]
+        patches = 0
+        for v in range(n):
+            for i in range(k):
+                nbhd = metric.level_neighborhood(v, i, k)
+                for tau in dict.fromkeys(
+                    bs.block_prefix(b)[:i] for b in range(bs.num_blocks())
+                ):
+                    if any(bs.block_has_prefix(b, tau) for w in nbhd for b in sets[w]):
+                        continue
+                    target = min(nbhd, key=lambda w: (len(sets[w]), w))
+                    sets[target].add(bs.blocks_with_prefix(tau)[0])
+                    patches += 1
+        assert dist.sets == sets
+        assert dist.patches_applied == patches
+
     def test_nearest_holder_global(self):
         n = 27
         metric = make_metric(n, 40)

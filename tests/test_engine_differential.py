@@ -177,7 +177,7 @@ class LoopingScheme(RoutingScheme):
     def table_entries(self, vertex: int) -> int:
         return 1
 
-    def compile_tables(self) -> CompiledRoutes:
+    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
         bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
         next_vertex = np.full((4, 4), -1, dtype=np.int64)
         next_vertex[0, :] = 1
@@ -265,7 +265,7 @@ class InboundLoopingScheme(RoutingScheme):
     def table_entries(self, vertex: int) -> int:
         return 1
 
-    def compile_tables(self) -> CompiledRoutes:
+    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
         bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
         next_vertex = np.full((6, 6), -1, dtype=np.int64)
         for i in range(5):

@@ -48,6 +48,31 @@ class TestInitOrder:
             rts = [small_metric.r(v, u) for u in order]
             assert rts == sorted(rts)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            random_strongly_connected(40, rng=random.Random(3)),
+            directed_cycle(12),  # every r(v, u) ties
+            asymmetric_torus(4, 5),  # ties broken by d(u, v), then id
+        ],
+        ids=["random", "cycle", "asym-torus"],
+    )
+    def test_order_matrix_matches_definitional_sort(self, graph):
+        n = graph.n
+        ids = random.Random(n).sample(range(10 * n), n)
+        for metric in (
+            RoundtripMetric(DistanceOracle(graph)),
+            RoundtripMetric(DistanceOracle(graph), ids=ids),
+        ):
+            matrix = metric.order_matrix()
+            assert matrix.shape == (n, n)
+            assert not matrix.flags.writeable
+            for v in range(n):
+                reference = sorted(range(n), key=lambda u: metric.order_key(v, u))
+                assert matrix[v].tolist() == reference
+                assert metric.init_order(v) == reference
+                assert metric.neighborhood(v, 5) == reference[:5]
+
     def test_tiebreak_by_one_way_distance_then_id(self):
         # Build a graph where two nodes have equal roundtrip to 0 but
         # different one-way distance into 0.

@@ -49,6 +49,13 @@ class TestCenters:
                 assert metric.r(v, c) <= metric.r(v, other) + 1e-12
             assert assign.r_to_centers(v) == pytest.approx(metric.r(v, c))
 
+    def test_home_center_ties_go_to_the_smaller_center(self):
+        # On a directed cycle every r(v, c) with v != c is the cycle length.
+        metric = make_metric(directed_cycle(9))
+        assign = CenterAssignment(metric, [7, 2, 5])
+        for v in range(9):
+            assert assign.home_center(v) == (v if v in (2, 5, 7) else 2)
+
     def test_cluster_definition(self):
         metric = metric_for(18, 3)
         assign = CenterAssignment(metric, sample_centers(18, random.Random(4)))
