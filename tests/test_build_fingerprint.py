@@ -1,7 +1,8 @@
 """Build fingerprints: pinned SHA-256 digests of every preprocessing output.
 
-Each case builds one registered scheme on the ``random`` family and
-hashes what its preprocessing produced:
+Each case builds one registered scheme on one graph family (``random``
+unless named; ``cycle`` has depth-``n`` trees, ``torus`` tied path
+lengths) and hashes what its preprocessing produced:
 
 * ``orders``     — every ``Init_v`` order of the roundtrip metric;
 * ``blocks``     — the dictionary block sets ``S_v`` and the patch count;
@@ -11,6 +12,12 @@ hashes what its preprocessing produced:
 * ``knowledge``  — the compiled planner's output over all ``n^2`` pairs,
   identical on the ``dense`` and ``blocked`` table families;
 * ``traces``     — hop-by-hop routed traces of a fixed pair set.
+
+Separately, every landmark tree of each network's default RTZ substrate
+is pinned through the substrate's public leg API: each vertex's address
+in every out-tree (as the vertex that address routes to), the port
+sequence of every root-to-vertex route, every in-pointer port, and the
+per-vertex table entries.
 
 Any rewrite of the preprocessing must leave every digest unchanged.  To
 print the digests of the current code (only after an *intended* change
@@ -29,30 +36,42 @@ import numpy as np
 import pytest
 
 from repro.api import Network
+from repro.rtz.routing import DOWN_TREE, TO_CENTER, R3Label
+from repro.tree_routing.fixed_port import TreeAddress
 
-#: (scheme, n, params); n=40/130/300 are all non-square
-CASES: Tuple[Tuple[str, int, Tuple[Tuple[str, int], ...]], ...] = (
-    ("rtz", 40, ()),
-    ("rtz", 300, ()),
-    ("stretch6", 40, ()),
-    ("stretch6", 130, ()),
-    ("stretch6", 300, ()),
-    ("stretch6", 130, (("blocks_per_node", 1),)),
-    ("stretch6_via_source", 130, ()),
-    ("wild_names", 130, ()),
-    ("wild_names", 300, (("blocks_per_node", 1),)),
-    ("exstretch", 40, ()),
-    ("exstretch", 130, (("k", 3), ("blocks_per_node", 1))),
-    ("polystretch", 130, ()),
+#: (family, scheme, n, params); random n=40/130/300 are all non-square
+CASES: Tuple[Tuple[str, str, int, Tuple[Tuple[str, int], ...]], ...] = (
+    ("random", "rtz", 40, ()),
+    ("random", "rtz", 300, ()),
+    ("random", "stretch6", 40, ()),
+    ("random", "stretch6", 130, ()),
+    ("random", "stretch6", 300, ()),
+    ("random", "stretch6", 130, (("blocks_per_node", 1),)),
+    ("random", "stretch6_via_source", 130, ()),
+    ("random", "wild_names", 130, ()),
+    ("random", "wild_names", 300, (("blocks_per_node", 1),)),
+    ("random", "exstretch", 40, ()),
+    ("random", "exstretch", 130, (("k", 3), ("blocks_per_node", 1))),
+    ("random", "polystretch", 130, ()),
+    ("cycle", "rtz", 130, ()),
+    ("cycle", "stretch6", 130, ()),
+    ("torus", "rtz", 144, ()),
+    ("torus", "stretch6", 144, ()),
 )
 
-_NETWORKS: Dict[int, Network] = {}
+#: (family, n) networks whose landmark trees are pinned
+TREE_NETWORKS = (
+    ("random", 40), ("random", 130), ("random", 300),
+    ("cycle", 130), ("torus", 144),
+)
+
+_NETWORKS: Dict[Tuple[str, int], Network] = {}
 
 
-def _network(n: int) -> Network:
-    if n not in _NETWORKS:
-        _NETWORKS[n] = Network.from_family("random", n, seed=1, store=None)
-    return _NETWORKS[n]
+def _network(family: str, n: int) -> Network:
+    if (family, n) not in _NETWORKS:
+        _NETWORKS[family, n] = Network.from_family(family, n, seed=1, store=None)
+    return _NETWORKS[family, n]
 
 
 def _sha(obj) -> str:
@@ -77,8 +96,21 @@ def _plan_digest(compiled, n: int) -> str:
     return _array_sha(arrays)
 
 
-def fingerprint(name: str, n: int, params) -> Dict[str, str]:
-    net = _network(n)
+def _direct_rows(rtz, n: int):
+    """Per source ``u``, the sorted ``(v, port)`` direct-table rows, read
+    from the substrate's store arrays."""
+    arrays = rtz.to_arrays()
+    rows = [[] for _ in range(n)]
+    for u, v, port in zip(
+        arrays["direct_u"].tolist(), arrays["direct_v"].tolist(),
+        arrays["direct_port"].tolist(),
+    ):
+        rows[u].append((v, port))
+    return [sorted(r) for r in rows]
+
+
+def fingerprint(family: str, name: str, n: int, params) -> Dict[str, str]:
+    net = _network(family, n)
     scheme = net.build_scheme(name, **dict(params))
     metric = net.metric()
     out = {"orders": _sha([metric.init_order(v) for v in range(n)])}
@@ -95,7 +127,7 @@ def fingerprint(name: str, n: int, params) -> Dict[str, str]:
             [sorted(assignment.cluster(v)) for v in range(n)],
             [assignment.home_center(v) for v in range(n)],
             [assignment.r_to_centers(v) for v in range(n)],
-            [sorted(rtz._direct[u].items()) for u in range(n)],
+            _direct_rows(rtz, n),
             _array_sha(rtz.to_arrays()[k] for k in sorted(rtz.to_arrays())),
         ))
     out["tables"] = _sha([scheme.table_entries(v) for v in range(n)])
@@ -124,9 +156,42 @@ def fingerprint(name: str, n: int, params) -> Dict[str, str]:
     return out
 
 
+def tree_fingerprint(family: str, n: int) -> str:
+    """Digest of every landmark tree of the network's default substrate,
+    read through :meth:`RTZStretch3.leg_step` only.
+
+    For landmark ``c`` (tree index ``idx``) and every DFS address ``t``,
+    the down-tree leg from ``c`` toward ``TreeAddress(idx, t)`` is driven
+    until the tree reports arrival: the vertex reached is the one whose
+    ``address_of`` is ``t``, and the ports taken are its ``route(c, v)``.
+    The in-pointer of every ``v`` is the first port of a ``TO_CENTER``
+    leg toward ``c``.  Per-vertex ``table_entries`` close the digest.
+    """
+    net = _network(family, n)
+    rtz = net.rtz()
+    g = net.graph
+    trees = []
+    for idx, c in enumerate(rtz.centers):
+        routes = []
+        for t in range(n):
+            label = R3Label(dest=-1, center=c, addr=TreeAddress(idx, t))
+            at, ports = c, []
+            port, _ = rtz.leg_step(at, label, DOWN_TREE)
+            while port is not None:
+                ports.append(port)
+                at = g.head_of_port(at, port)
+                port, _ = rtz.leg_step(at, label, DOWN_TREE)
+            routes.append((at, ports))
+        home = rtz.label(c)
+        up = [rtz.leg_step(v, home, TO_CENTER)[0] for v in range(n)]
+        trees.append((c, routes, up))
+    return _sha((trees, [rtz.table_entries(v) for v in range(n)]))
+
+
 def _case_id(case) -> str:
-    name, n, params = case
-    return "-".join([name, str(n)] + [f"{k}{v}" for k, v in params])
+    family, name, n, params = case
+    head = [name] if family == "random" else [name, family]
+    return "-".join(head + [str(n)] + [f"{k}{v}" for k, v in params])
 
 
 # Recorded from the scalar reference implementation of the
@@ -227,6 +292,48 @@ PINNED: Dict[str, Dict[str, str]] = {
         'tables': '1e49f8c0bd6b8bddc80681a2acc0795fdb4922007295a6d8a45dfa199ae2a302',
         'traces': 'f1d84a2c3f68ab5f6cefe29d0a76c2d3fd3cf76e4aa6a5b86ce2dacd9725ed25',
     },
+    'rtz-cycle-130': {
+        'orders': 'aee869cc352908c3f46d92d5a2868d304efea5bcb31312d5998602b511bea238',
+        'substrate': '4778bd5522d6960309e183ef67170f9ee51102d8629868f9753370b30c3870b6',
+        'tables': 'b4f865a5352f9956f3d53d835aa5f2aad3ca5563ee9c2cbb31334b02f29c80a3',
+        'knowledge': '20f9aed57b970611c1239a0c51a9b268a8b394dd38bded181164d92a381bfaba',
+        'traces': '67f1908de0d8c62f59fbdc69f9cfc2de6f2273eaad385f657a250592623a1d0e',
+    },
+    'stretch6-cycle-130': {
+        'orders': 'aee869cc352908c3f46d92d5a2868d304efea5bcb31312d5998602b511bea238',
+        'blocks': '9a49b916257c534a657517cccc0455ef832367fe04f8bd61cc2ada686766b9c1',
+        'substrate': '4778bd5522d6960309e183ef67170f9ee51102d8629868f9753370b30c3870b6',
+        'tables': 'b5d814f4ef57d08376c5ad7e2b859e52f18691ebf973b5d480986f83b77f2b4d',
+        'pointers': '0ccf53fbb74799549ace1e5896cf00b435a25660b256f7ca9256c7e8197c3e30',
+        'knowledge': '5960c09783f76ec424e74369c3156adb82ace08f68e37b6c971234b538598fcc',
+        'traces': '848df198d001f7255398cd653ac65920192339e20fa415a28b2f283ef145ea9f',
+    },
+    'rtz-torus-144': {
+        'orders': '3a2bfc9691b848bdf017ca0c7d5e0fc2c8ec42eb2cf794f97a050441b80fd5f2',
+        'substrate': '7c68e38481c5e6c43e1712eee21fe86af78d08b7acf8a7f20e688e61f92be552',
+        'tables': '8a021c93c7f81d801669279a932fdc7efc02b9a88e14a69e89616365931a91e8',
+        'knowledge': 'f06b17e461e6d7f815b5d4d8d5f74475aeb04a91120e59c5ee5834b6e1f8cc91',
+        'traces': '81345a266fbab6940b7a34bad9697311fe3beceaa12c9a6e9e65c99cb155c112',
+    },
+    'stretch6-torus-144': {
+        'orders': '3a2bfc9691b848bdf017ca0c7d5e0fc2c8ec42eb2cf794f97a050441b80fd5f2',
+        'blocks': '10a4f848990d94f6b460519912413d92745d382de4d9b63ff8ed0023ce489856',
+        'substrate': '7c68e38481c5e6c43e1712eee21fe86af78d08b7acf8a7f20e688e61f92be552',
+        'tables': 'ae43d429bd056a958b5b6ad859c5e66577206e00d8795243ae399a79507da7ad',
+        'pointers': '92100aa0065d6e7147223554d9ccd7ea6bfd8136a61577012b414db900779a19',
+        'knowledge': '4b6cc3405f8a05f2866b137208dfe7b9b8d1a47f197daa9059660209e4bb05d5',
+        'traces': '8b2b946df62fe29fe8791d0484480387485f13c4a70d0e579e8d0857727265a6',
+    },
+}
+
+# Recorded from the per-tree reference implementation of the landmark
+# trees (dict DFS per out-tree, one reverse Dijkstra per in-tree).
+PINNED_TREES: Dict[str, str] = {
+    'random-40': '233e6ae28d7b81fa6c19b53a958006a012d75d8f712099b2066265ea57c6513d',
+    'random-130': '31b6ea226064d493a0b1dbfb94adb162bd238b426abce3f287f91da8beba6879',
+    'random-300': '623cb4cd109d17c7661f0bb822ab08f6fa744434fdc00846b17a893145bde433',
+    'cycle-130': '46ca9d5195e03c18a92b151d6d1b2ac2341814da0cfef9d4886ff728c4a67598',
+    'torus-144': '4a17e8eb2fa5d0c984ef99135c4043532dcdf7c621f2b27eb14ad308ef98aeef',
 }
 
 
@@ -235,10 +342,18 @@ def test_build_fingerprint_is_pinned(case):
     assert fingerprint(*case) == PINNED[_case_id(case)]
 
 
+@pytest.mark.parametrize(
+    "family, n", TREE_NETWORKS, ids=[f"{f}-{n}" for f, n in TREE_NETWORKS]
+)
+def test_landmark_trees_are_pinned(family, n):
+    assert tree_fingerprint(family, n) == PINNED_TREES[f"{family}-{n}"]
+
+
 def test_one_block_per_node_exercises_the_patch_walk():
-    for name, n, params in CASES:
+    for family, name, n, params in CASES:
         if dict(params).get("blocks_per_node") == 1:
-            dist = _network(n).build_scheme(name, **dict(params)).distribution
+            net = _network(family, n)
+            dist = net.build_scheme(name, **dict(params)).distribution
             assert dist.patches_applied > 0, (name, n)
             dist.verify()
 
@@ -250,4 +365,8 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
         for key, value in fingerprint(*case).items():
             print(f"        {key!r}: {value!r},")
         print("    },")
+    print("}")
+    print("PINNED_TREES = {")
+    for family, n in TREE_NETWORKS:
+        print(f"    '{family}-{n}': {tree_fingerprint(family, n)!r},")
     print("}")
