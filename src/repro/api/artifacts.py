@@ -15,7 +15,7 @@ delegate to it and keep their exact historical cache labels.
 
 Storability is deliberately narrow: only artifacts whose construction
 is dominated by shortest-path work (the oracle's APSP, the substrate's
-reverse Dijkstras and cluster scan) are persisted.  Naming permutations,
+in-tree APSP rows and direct tables) are persisted.  Naming permutations,
 metrics (views over the oracle), and the cover hierarchies either cost
 microseconds to rebuild or hold deeply nested structures whose
 flattening would outweigh the build; they stay memory-only.

@@ -22,7 +22,7 @@ them (see DESIGN.md, modeling decisions).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConstructionError
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
@@ -126,6 +126,20 @@ class DoubleTree:
     def rt_height(self) -> float:
         """``RTHeight``: max roundtrip distance root <-> member."""
         return max(self._oracle.r(self.root, v) for v in self.members)
+
+    def step(
+        self, at: int, target: TreeAddress, descending: bool
+    ) -> Tuple[Optional[int], bool]:
+        """One via-root forwarding decision toward ``target``: up the
+        in-pointers to the root, then down the out-tree.  Returns the
+        port (``None`` on arrival, detected by address comparison) and
+        whether the packet now descends."""
+        if not descending:
+            if self._out.contains(at) and self._out.address_of(at) == target:
+                return None, False
+            if at != self.root:
+                return self._in.next_port(at), False
+        return self._out.next_port(at, target), True
 
     # ------------------------------------------------------------------
     # path helpers (preprocessing-time / analysis)

@@ -110,8 +110,9 @@ class BlockDistribution:
         many consecutive indices."""
         return self._blocks.q ** (self._blocks.k - 1 - length)
 
-    def _held(self) -> np.ndarray:
-        """``(n, num_blocks)`` bool: ``held[w, b]`` iff ``b in S_w``."""
+    def held(self) -> np.ndarray:
+        """``(n, num_blocks)`` bool: ``held[w, b]`` iff ``b in S_w``
+        (freshly built from the current sets)."""
         held = np.zeros((self._metric.n, self._blocks.num_blocks()), dtype=bool)
         rows = np.repeat(np.arange(self._metric.n), [len(s) for s in self.sets])
         cols = np.fromiter(itertools.chain.from_iterable(self.sets), dtype=np.intp)
@@ -140,7 +141,7 @@ class BlockDistribution:
         )
         if not flagged:
             return 0
-        held = self._held()
+        held = self.held()
         order = self._metric.order_matrix()
         patches = 0
         for v, i, p in flagged:
@@ -195,7 +196,7 @@ class BlockDistribution:
         length = i if length is None else length
         table = self._holder_cache.get((i, length))
         if table is None:
-            table = self._first_holders(self._held(), i, length)
+            table = self._first_holders(self.held(), i, length)
             table.setflags(write=False)
             self._holder_cache[(i, length)] = table
         return table
@@ -258,7 +259,7 @@ class BlockDistribution:
         if p is not None:
             lo = p * self._run(len(tau))
             row = self._metric.order_matrix()[v]
-            inside = self._held()[row, lo : lo + self._run(len(tau))].any(axis=1)
+            inside = self.held()[row, lo : lo + self._run(len(tau))].any(axis=1)
             if inside.any():
                 return int(row[inside.argmax()])
         raise ConstructionError(f"no node stores any block with prefix {tau}")
@@ -268,7 +269,7 @@ class BlockDistribution:
     # ------------------------------------------------------------------
     def verify(self) -> None:
         """Assert both Lemma 4 properties (test/benchmark helper)."""
-        held = self._held()
+        held = self.held()
         for i in range(self._blocks.k):
             missing = np.argwhere(self._first_holders(held, i, i) < 0)
             if missing.size:

@@ -26,7 +26,7 @@ import weakref
 
 import numpy as np
 
-from repro.graph.digraph import Digraph
+from repro.graph.digraph import Digraph, sorted_lookup
 from repro.graph.limits import check_dense_table
 
 # One snapshot per frozen graph: a frozen Digraph's topology can never
@@ -280,12 +280,7 @@ class CSRGraph:
             np.asarray(tails, dtype=np.int64) * np.int64(self.n)
             + np.asarray(heads, dtype=np.int64)
         )
-        if keys.shape[0] == 0:
-            return np.full(queries.shape[0], np.nan, dtype=np.float64)
-        pos = np.searchsorted(keys, queries)
-        np.minimum(pos, keys.shape[0] - 1, out=pos)
-        found = keys[pos] == queries
-        return np.where(found, values[pos], np.nan)
+        return sorted_lookup(keys, values, queries, np.nan)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.m})"

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.delta import (
@@ -91,6 +94,8 @@ class Digraph:
         self._ports: List[Dict[int, int]] = []        # vertex -> {head: port}
         self._port_to_head: List[Dict[int, int]] = [] # vertex -> {port: head}
         self._edges: List[Edge] = []
+        # sorted port lookup arrays, built on first vectorised lookup
+        self._port_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -244,6 +249,34 @@ class Digraph:
             return self._port_to_head[tail][port]
         except KeyError as exc:
             raise GraphError(f"vertex {tail} has no port {port}") from exc
+
+    def ports_of(self, tails, heads) -> np.ndarray:
+        """Vectorised :meth:`port_of`: the int64 port of every edge
+        ``tails[i] -> heads[i]``, by binary search in a sorted
+        ``tail * n + head`` table built once per frozen graph.
+
+        Raises:
+            GraphError: naming the first pair that is not an edge.
+        """
+        self._require_frozen()
+        if self._port_index is None:
+            m = len(self._edges)
+            counts = [len(p) for p in self._ports]
+            keys = np.repeat(np.arange(self._n, dtype=np.int64) * self._n, counts)
+            keys += np.fromiter(chain.from_iterable(self._ports), np.int64, m)
+            ports = np.fromiter(
+                chain.from_iterable(p.values() for p in self._ports), np.int64, m
+            )
+            order = np.argsort(keys)
+            self._port_index = (keys[order], ports[order])
+        keys, ports = self._port_index
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        found_ports, found = sorted_lookup(keys, ports, tails * self._n + heads)
+        if not found.all():
+            i = int(np.argmin(found))
+            raise GraphError(f"no edge ({tails[i]}, {heads[i]})")
+        return found_ports
 
     def ports(self, u: int) -> List[int]:
         """Return all port numbers at vertex ``u``."""
@@ -461,6 +494,20 @@ class Digraph:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "frozen" if self._frozen else "building"
         return f"Digraph(n={self._n}, m={self.m}, {state})"
+
+
+def sorted_lookup(
+    keys: np.ndarray, values: np.ndarray, queries, missing=-1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values at each query's slot in the sorted unique keys, or
+    missing; whether the query is present)`` — one binary search per
+    query, the O(m)-memory stand-in for a dense ``(n, n)`` gather."""
+    queries = np.asarray(queries)
+    if keys.size == 0:
+        return np.full(queries.shape, missing), np.zeros(queries.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    found = keys[pos] == queries
+    return np.where(found, values[pos], missing), found
 
 
 def from_edge_list(

@@ -151,8 +151,12 @@ class RoundtripMetric:
         return self.order_matrix()[v, :size].tolist()
 
     def sqrt_neighborhood(self, v: int) -> List[int]:
-        """Section 2's ``N(v)``: the first ``ceil(sqrt(n))`` nodes."""
-        return self.neighborhood(v, int(math.ceil(math.sqrt(self.n))))
+        """Section 2's ``N(v)``: the first :meth:`sqrt_size` nodes."""
+        return self.neighborhood(v, self.sqrt_size())
+
+    def sqrt_size(self) -> int:
+        """``|N(v)| = ceil(sqrt(n))``, the same for every ``v``."""
+        return int(math.ceil(math.sqrt(self.n)))
 
     def level_neighborhood(self, v: int, i: int, k: int) -> List[int]:
         """Section 3's ``N_i(v)``: the first ``ceil(n^{i/k})`` nodes.

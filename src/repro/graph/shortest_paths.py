@@ -38,7 +38,7 @@ import heapq
 import math
 import time
 import weakref
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -215,9 +215,11 @@ class DistanceOracle:
                 )
             self._d = d
             self._parent: List[List[int]] = pmat.tolist()
+            self._parent_rows: Optional[np.ndarray] = pmat.astype(np.int32)
         else:
             self._d = np.empty((n, n), dtype=np.float64)
             self._parent = []
+            self._parent_rows = None
             for s in range(n):
                 dist, parent = dijkstra(g, s)
                 if any(x == INF for x in dist):
@@ -270,6 +272,7 @@ class DistanceOracle:
         self._engine = str(engine)
         self._d = d
         self._parent = parent.tolist()
+        self._parent_rows = parent.astype(np.int32, copy=False)
         self._r = self._d + self._d.T
         if g.frozen:
             _ORACLE_CACHE[g] = weakref.ref(self)
@@ -346,6 +349,8 @@ class DistanceOracle:
         is the out-tree rooted at ``s``; freshly allocated).  This is
         the array form the incremental repair protocol
         (:mod:`repro.graph.repair`) edits row-wise."""
+        if self._parent_rows is not None:
+            return self._parent_rows.astype(np.int64)
         return np.asarray(self._parent, dtype=np.int64)
 
     def cached_first_hops(self) -> "np.ndarray | None":
@@ -401,23 +406,7 @@ class DistanceOracle:
                 self._first_hop = entry.arrays["first"]
                 return self._first_hop
         t0 = time.perf_counter()
-        n = self.n
-        parent = np.asarray(self._parent, dtype=np.int32)
-        rows = np.arange(n, dtype=np.int32)[:, None]
-        cols = np.arange(n, dtype=np.int32)[None, :].repeat(n, axis=0)
-        # F[u, v] = v where parent[u, v] == u, else F[u, parent[u, v]];
-        # resolve the recursion with jump pointers (log diameter
-        # rounds of take_along_axis instead of n^2 chain walks).
-        first = np.where(parent == rows, cols, -1).astype(np.int32)
-        jump = np.where(parent >= 0, parent, cols)
-        while True:
-            hop = np.take_along_axis(first, jump, axis=1)
-            progressed = (first < 0) & (hop >= 0)
-            if not progressed.any():
-                break  # only the diagonal (its parent is -1) remains
-            first = np.where(progressed, hop, first)
-            jump = np.take_along_axis(jump, jump, axis=1)
-        np.fill_diagonal(first, -1)
+        first = self.first_hop_block(0, self.n)
         first.flags.writeable = False
         self._first_hop = first
         if store is not None:
@@ -436,6 +425,8 @@ class DistanceOracle:
         bit-identical to the corresponding dense slice)."""
         from repro.graph.blocked import first_hops_from_parents
 
+        if self._parent_rows is not None:
+            return first_hops_from_parents(self._parent_rows[lo:hi], lo)
         return first_hops_from_parents(
             np.asarray(self._parent[lo:hi], dtype=np.int32), lo
         )

@@ -71,10 +71,10 @@ class CenterAssignment:
         self._r_to_a: List[float] = to_centers[
             np.arange(metric.n), best
         ].tolist()
-        # cluster membership is O(n^2) to enumerate and only needed on
+        # cluster membership is O(n^2) to compute and only needed on
         # the build path (direct tables, size accounting); computed
         # lazily so store-rehydrated assignments never pay for it
-        self._clusters: Optional[List[Set[int]]] = None
+        self._member: Optional[np.ndarray] = None
 
     @classmethod
     def restore(
@@ -98,19 +98,20 @@ class CenterAssignment:
         self.centers = sorted(set(int(c) for c in centers))
         self._home = [int(h) for h in home]
         self._r_to_a = [float(r) for r in r_to_a]
-        self._clusters = None
+        self._member = None
         return self
 
-    def _cluster_sets(self) -> List[Set[int]]:
-        """``C(v)`` for every ``v``: ``u in C(v)`` iff ``r(u, v) <
-        r(v, A)`` (lazily computed, cached)."""
-        if self._clusters is None:
-            # member[v, u] iff r(u, v) < r(v, A) - 1e-12, u != v
+    def membership(self) -> np.ndarray:
+        """The read-only ``(n, n)`` bool cluster matrix: ``[v, u]`` iff
+        ``u in C(v)``, i.e. ``r(u, v) < r(v, A)`` with ``u != v``
+        (computed on first call)."""
+        if self._member is None:
             bound = np.asarray(self._r_to_a) - 1e-12
             member = self._metric.oracle.r_matrix.T < bound[:, None]
             np.fill_diagonal(member, False)
-            self._clusters = [set(np.flatnonzero(row).tolist()) for row in member]
-        return self._clusters
+            member.setflags(write=False)
+            self._member = member
+        return self._member
 
     @property
     def metric(self) -> RoundtripMetric:
@@ -127,19 +128,19 @@ class CenterAssignment:
 
     def cluster(self, v: int) -> Set[int]:
         """``C(v)``: vertices with a direct route to ``v``."""
-        return set(self._cluster_sets()[v])
+        return set(np.flatnonzero(self.membership()[v]).tolist())
 
     def in_cluster(self, u: int, v: int) -> bool:
         """Whether ``u`` may route directly to ``v``."""
-        return u in self._cluster_sets()[v]
+        return bool(self.membership()[v, u])
 
     def max_cluster_size(self) -> int:
         """Largest ``|C(v)|`` (drives the direct-table bound)."""
-        return max(len(c) for c in self._cluster_sets())
+        return int(self.membership().sum(axis=1).max())
 
     def mean_cluster_size(self) -> float:
         """Average ``|C(v)|``."""
-        return sum(len(c) for c in self._cluster_sets()) / self._metric.n
+        return int(self.membership().sum()) / self._metric.n
 
     def verify_cluster_path_closure(self) -> None:
         """Assert the closure property direct routing relies on: for
@@ -151,10 +152,10 @@ class CenterAssignment:
         so ``r(x,v) <= r(u,v) < r(v,A)``.)
         """
         oracle = self._metric.oracle
-        clusters = self._cluster_sets()
+        member = self.membership()
         for v in range(self._metric.n):
-            for u in clusters[v]:
+            for u in np.flatnonzero(member[v]).tolist():
                 for x in oracle.path(u, v)[1:-1]:
-                    assert x in clusters[v], (
+                    assert member[v, x], (
                         f"closure violated: {x} on path {u}->{v} not in C({v})"
                     )

@@ -35,15 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import TableLookupError
+from repro.graph.apsp import apsp_rows, vectorized_engine_supported
+from repro.graph.csr import CSRGraph
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import dijkstra
 from repro.rtz.centers import CenterAssignment, sample_centers
 from repro.runtime.sizing import id_bits
-from repro.tree_routing.fixed_port import (
-    OutTreeRouter,
-    ToRootPointers,
-    TreeAddress,
-)
+from repro.tree_routing.fixed_port import IntervalForest, TreeAddress
 
 #: leg-forwarding modes
 DIRECT = "dir"
@@ -73,6 +71,17 @@ class R3Label:
 class RTZStretch3:
     """The Lemma 2 substrate over one graph.
 
+    Every table is an array, and the arrays :meth:`to_arrays` stores are
+    the in-memory form:
+
+    * ``in_succ`` ``(C, n)`` — each vertex's successor toward landmark
+      ``C[i]`` on the canonical shortest path into it (``-1`` at the
+      landmark), from one batched reverse APSP over the landmarks;
+    * ``direct_u/v/port`` — one row per cluster membership ``u in C(v)``,
+      sorted by ``(u, v)``: the port of the canonical first hop;
+    * the landmark out-trees, one :class:`IntervalForest` over the
+      oracle's canonical parent rows (re-derived, never stored).
+
     Args:
         metric: roundtrip metric of the graph.
         rng: landmark sampling randomness.
@@ -90,39 +99,61 @@ class RTZStretch3:
         center_count: Optional[int] = None,
         centers: Optional[Sequence[int]] = None,
     ):
-        self._metric = metric
-        oracle = metric.oracle
-        g = oracle.graph
-        n = g.n
+        g = metric.oracle.graph
         if centers is None:
-            centers = sample_centers(n, rng, center_count)
-        else:
-            centers = sorted(centers)
-        self.assignment = CenterAssignment(metric, centers)
+            centers = sample_centers(g.n, rng, center_count)
+        assignment = CenterAssignment(metric, centers)
+        self._adopt(
+            metric, assignment, _in_tree_successors(g, assignment.centers),
+            *np.nonzero(assignment.membership().T), None,
+        )
 
-        # Per-landmark tree structures spanning all of V.
-        self._in_trees: Dict[int, ToRootPointers] = {}
-        self._out_trees: Dict[int, OutTreeRouter] = {}
-        for idx, c in enumerate(self.assignment.centers):
-            parents = oracle.forward_tree_parents(c)
-            self._out_trees[c] = OutTreeRouter(g, c, parents, tree_id=idx)
-            _dist, succ = dijkstra(g, c, reverse=True)
-            succ[c] = -1
-            self._in_trees[c] = ToRootPointers(g, c, succ)
-
-        # Direct tables: direct[u][v] = port toward v, for u in C(v).
-        self._direct: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for v in range(n):
-            for u in self.assignment.cluster(v):
-                nxt = oracle.next_hop(u, v)
-                self._direct[u][v] = g.port_of(u, nxt)
-
-        self._labels: List[R3Label] = []
-        for v in range(n):
-            c = self.assignment.home_center(v)
-            self._labels.append(
-                R3Label(dest=v, center=c, addr=self._out_trees[c].address_of(v))
-            )
+    def _adopt(
+        self,
+        metric: RoundtripMetric,
+        assignment: CenterAssignment,
+        in_succ: np.ndarray,
+        direct_u: np.ndarray,
+        direct_v: np.ndarray,
+        direct_port: Optional[np.ndarray],
+    ) -> None:
+        """Install the table arrays and derive the direct rows' first
+        hops (and, when ``direct_port`` is ``None``, their ports), the
+        out-trees and the labels; shared by the constructor and
+        :meth:`from_arrays`."""
+        g = metric.oracle.graph
+        n = g.n
+        parent = metric.oracle.parent_matrix()
+        # Walk each direct pair's canonical u -> v path back from v to
+        # the vertex whose parent is u: the first hop.
+        direct_next = direct_v.copy()
+        live = np.arange(direct_u.shape[0])
+        while live.shape[0]:
+            up = parent[direct_u[live], direct_next[live]]
+            moving = up != direct_u[live]
+            live = live[moving]
+            direct_next[live] = up[moving]
+        if direct_port is None:
+            direct_port = g.ports_of(direct_u, direct_next)
+        self._metric = metric
+        self.assignment = assignment
+        centers = assignment.centers
+        self._center_index: Dict[int, int] = {c: i for i, c in enumerate(centers)}
+        self._out = IntervalForest(g, centers, parent[centers])
+        self._in_succ = in_succ
+        self._direct_u = direct_u
+        self._direct_v = direct_v
+        self._direct_port = direct_port
+        self._direct_next = direct_next
+        self._direct_keys = direct_u * n + direct_v
+        self._entries: Optional[np.ndarray] = None
+        home = [assignment.home_center(v) for v in range(n)]
+        self._home_tree = np.array([self._center_index[c] for c in home])
+        dfs = self._out.dfs[self._home_tree, np.arange(n)].tolist()
+        self._labels: List[R3Label] = [
+            R3Label(v, c, TreeAddress(t, d))
+            for v, (c, t, d) in enumerate(zip(home, self._home_tree.tolist(), dfs))
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -140,9 +171,49 @@ class RTZStretch3:
         the TINN dictionary layer."""
         return self._labels[v]
 
+    def _direct_row(self, u: int, v: int) -> int:
+        """Index of ``u``'s direct row for ``v``, or -1."""
+        key = u * self._metric.n + v
+        row = int(np.searchsorted(self._direct_keys, key))
+        hit = row < len(self._direct_keys) and self._direct_keys[row] == key
+        return row if hit else -1
+
     def has_direct(self, u: int, v: int) -> bool:
         """Whether ``u`` stores a direct next-hop for ``v``."""
-        return v in self._direct[u]
+        return self._direct_row(u, v) >= 0
+
+    # ------------------------------------------------------------------
+    # compiled-table inputs (array reads; see also to_arrays)
+    # ------------------------------------------------------------------
+    def direct_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u, v, next_vertex)`` per direct row, sorted by ``(u, v)``."""
+        return self._direct_u, self._direct_v, self._direct_next
+
+    def down_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(p, v, x)`` for every edge ``p -> x`` on the out-tree path
+        from ``a(v)`` to ``v``: the down-tree decisions a leg toward
+        ``v`` can consult.
+
+        An edge's child ``x`` lies on that path exactly when ``v``'s
+        number falls in ``x``'s interval, so each child row expands to
+        the run of ``a``-homed vertices inside its interval.
+        """
+        forest = self._out
+        n = self._metric.n
+        tree = self._home_tree
+        slot = tree * n + forest.dfs[tree, np.arange(n)]
+        by_slot = np.argsort(slot)
+        slot = slot[by_slot]
+        row_tree = forest.row_key // n
+        first = np.searchsorted(slot, row_tree * n + forest.row_lo)
+        count = np.searchsorted(slot, row_tree * n + forest.row_hi) - first
+        starts = np.repeat(first - np.cumsum(count) + count, count)
+        flat = np.arange(int(count.sum())) + starts
+        return (
+            np.repeat(forest.row_key % n, count),
+            by_slot[flat],
+            np.repeat(forest.row_child, count),
+        )
 
     # ------------------------------------------------------------------
     # leg forwarding (pure local decisions)
@@ -177,20 +248,30 @@ class RTZStretch3:
         if at == label.dest:
             return None, mode
         if mode == DIRECT:
-            try:
-                return self._direct[at][label.dest], DIRECT
-            except KeyError as exc:
+            row = self._direct_row(at, label.dest)
+            if row < 0:
                 raise TableLookupError(
                     f"direct entry for {label.dest} missing at {at} "
                     "(cluster closure violated?)"
-                ) from exc
+                )
+            return int(self._direct_port[row]), DIRECT
         if mode == TO_CENTER:
             if at == label.center:
                 mode = DOWN_TREE
             else:
-                return self._in_trees[label.center].next_port(at), TO_CENTER
+                succ = int(self._in_succ[self._center_index[label.center], at])
+                if succ < 0:
+                    raise TableLookupError(
+                        f"vertex {at} has no pointer toward root {label.center}"
+                    )
+                return self._metric.oracle.graph.port_of(at, succ), TO_CENTER
         if mode == DOWN_TREE:
-            port = self._out_trees[label.center].next_port(at, label.addr)
+            tree = self._center_index[label.center]
+            if label.addr.tree_id != tree:
+                raise TableLookupError(
+                    f"address for tree {label.addr.tree_id} used in tree {tree}"
+                )
+            port = self._out.port_toward(at, label.addr.dfs, tree)
             if port is None:  # pragma: no cover - dest check above
                 return None, DOWN_TREE
             return port, DOWN_TREE
@@ -220,43 +301,23 @@ class RTZStretch3:
     # artifact-store serialization
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Flatten the substrate into store arrays.
+        """The substrate's store arrays, which are its in-memory tables.
 
-        The arrays capture exactly the parts whose reconstruction is
-        expensive or rng-dependent: the landmark set, the home-center
-        assignment, and the two table families that needed shortest-path
-        computations (in-tree successors from the reverse Dijkstras,
-        direct next-hop ports from the cluster scan).  Out-trees and
-        labels are *not* serialized — :meth:`from_arrays` re-derives
-        them from the oracle's canonical forward trees, which is cheap
-        and deterministic.
+        They are the landmark set, the home-center assignment, the
+        in-tree successors and the direct rows — every part whose
+        reconstruction needs shortest-path work or the rng.  Out-trees
+        and labels are *not* stored: :meth:`from_arrays` re-derives them
+        from the oracle's canonical forward trees, which is cheap and
+        deterministic.
         """
-        g = self._metric.oracle.graph
-        n = g.n
-        centers = self.assignment.centers
-        in_succ = np.full((len(centers), n), -1, dtype=np.int64)
-        for idx, c in enumerate(centers):
-            tree = self._in_trees[c]
-            for v in range(n):
-                port = tree.next_port(v) if v != c else None
-                if port is not None:
-                    in_succ[idx, v] = g.head_of_port(v, port)
-        direct_u: List[int] = []
-        direct_v: List[int] = []
-        direct_port: List[int] = []
-        for u in range(n):
-            for v, port in sorted(self._direct[u].items()):
-                direct_u.append(u)
-                direct_v.append(v)
-                direct_port.append(port)
         return {
-            "centers": np.asarray(centers, dtype=np.int64),
+            "centers": np.asarray(self.assignment.centers, dtype=np.int64),
             "home": np.asarray(self.assignment._home, dtype=np.int64),
             "r_to_a": np.asarray(self.assignment._r_to_a, dtype=np.float64),
-            "in_succ": in_succ,
-            "direct_u": np.asarray(direct_u, dtype=np.int64),
-            "direct_v": np.asarray(direct_v, dtype=np.int64),
-            "direct_port": np.asarray(direct_port, dtype=np.int64),
+            "in_succ": self._in_succ,
+            "direct_u": self._direct_u,
+            "direct_v": self._direct_v,
+            "direct_port": self._direct_port,
         }
 
     @classmethod
@@ -265,40 +326,20 @@ class RTZStretch3:
     ) -> "RTZStretch3":
         """Rehydrate a substrate from :meth:`to_arrays` output.
 
-        Skips every shortest-path computation the constructor performs
-        (the reverse Dijkstras and the O(n^2) cluster scan); only the
-        cheap deterministic derivations (out-tree DFS numbering,
-        labels) run.  The result is bit-identical to a fresh build and
-        is registered in :func:`shared_substrate`'s per-metric cache so
-        subsequent scheme builds reuse it.
+        The stored arrays become the tables as they are; only the
+        out-tree numbering, the direct rows' first hops (a parent walk)
+        and the labels are derived.  The result is bit-identical to a
+        fresh build and is registered in :func:`shared_substrate`'s
+        per-metric cache so subsequent scheme builds reuse it.
         """
-        oracle = metric.oracle
-        g = oracle.graph
-        n = g.n
         self = cls.__new__(cls)
-        self._metric = metric
-        centers = [int(c) for c in arrays["centers"]]
-        self.assignment = CenterAssignment.restore(
-            metric, centers, arrays["home"], arrays["r_to_a"]
+        assignment = CenterAssignment.restore(
+            metric, arrays["centers"].tolist(), arrays["home"], arrays["r_to_a"]
         )
-        self._in_trees = {}
-        self._out_trees = {}
-        in_succ = arrays["in_succ"]
-        for idx, c in enumerate(self.assignment.centers):
-            parents = oracle.forward_tree_parents(c)
-            self._out_trees[c] = OutTreeRouter(g, c, parents, tree_id=idx)
-            self._in_trees[c] = ToRootPointers(g, c, in_succ[idx].tolist())
-        self._direct = [dict() for _ in range(n)]
-        for u, v, port in zip(
-            arrays["direct_u"], arrays["direct_v"], arrays["direct_port"]
-        ):
-            self._direct[int(u)][int(v)] = int(port)
-        self._labels = []
-        for v in range(n):
-            c = self.assignment.home_center(v)
-            self._labels.append(
-                R3Label(dest=v, center=c, addr=self._out_trees[c].address_of(v))
-            )
+        self._adopt(metric, assignment, *(
+            np.asarray(arrays[k], dtype=np.int64)
+            for k in ("in_succ", "direct_u", "direct_v", "direct_port")
+        ))
         _adopt_shared(metric, self)
         return self
 
@@ -307,7 +348,7 @@ class RTZStretch3:
 
         The dense :class:`~repro.runtime.engine.SubstrateStepTables`
         cache (three ``(n, n)``-shaped arrays) is rebuilt worker-side
-        from the substrate's own structures on the first compile, so
+        from the substrate's own arrays on the first compile, so
         process-pool shard execution never ships it.
         """
         state = dict(self.__dict__)
@@ -321,18 +362,43 @@ class RTZStretch3:
     def table_entries(self, u: int) -> int:
         """Rows stored at ``u``: direct entries, per-landmark pointers
         and interval rows, plus its own label."""
-        total = len(self._direct[u])
-        for c in self.assignment.centers:
-            total += self._in_trees[c].table_entries_at(u)
-            total += self._out_trees[c].table_entries_at(u)
-        total += 3  # own label (dest, center, addr)
-        return total
+        if self._entries is None:
+            self._entries = (
+                np.bincount(self._direct_u, minlength=self._metric.n)
+                + (self._in_succ >= 0).sum(axis=0)
+                + self._out.entries().sum(axis=0)
+                + 3  # own label (dest, center, addr)
+            )
+        return int(self._entries[u])
 
     def expected_entry_bound(self) -> float:
         """The ``~O(sqrt(n))`` shape: ``c * sqrt(n) * log(n)`` with a
         generous constant, used by size benchmarks."""
         n = self._metric.n
         return 12.0 * math.sqrt(n) * max(1.0, math.log2(n))
+
+
+def _in_tree_successors(g, centers: List[int]) -> np.ndarray:
+    """``(C, n)`` successor of every vertex on its canonical shortest
+    path into each landmark, ``-1`` at the landmark.
+
+    One batched APSP over the transposed graph: its canonical parents
+    are the reverse Dijkstras' successors, floats and tie-breaks alike
+    (see :mod:`repro.graph.apsp`).  Graphs outside the batched engine's
+    exact range use the sequential reverse Dijkstra.
+    """
+    csr = CSRGraph.from_digraph(g)
+    if vectorized_engine_supported(csr):
+        # the transposed snapshot: out and in arrays swap roles
+        transposed = CSRGraph(
+            g.n, csr.in_indptr, csr.in_tails, csr.in_weights,
+            csr.out_indptr, csr.out_heads, csr.out_weights,
+        )
+        succ = apsp_rows(transposed, centers)[1]
+    else:
+        succ = np.array([dijkstra(g, c, reverse=True)[1] for c in centers])
+    succ[np.arange(len(centers)), centers] = -1
+    return succ
 
 
 # ----------------------------------------------------------------------

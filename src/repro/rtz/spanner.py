@@ -118,22 +118,10 @@ class HandshakeSpanner:
             ``(port, next_phase)`` with ``port`` ``None`` at arrival.
         """
         tree = self.tree_of(label)
-        target = label.addr_to
-        if phase == UP:
-            # Arrival check by address comparison (packet-time legal).
-            at_addr = (
-                tree.address_of(at) if tree.out_tree.contains(at) else None
-            )
-            if at_addr == target:
-                return None, UP
-            if at == tree.root:
-                phase = DOWN
-            else:
-                return tree.in_pointers.next_port(at), UP
-        if phase == DOWN:
-            port = tree.out_tree.next_port(at, target)
-            return port, DOWN
-        raise TableLookupError(f"unknown hop phase {phase!r}")
+        if phase not in (UP, DOWN):
+            raise TableLookupError(f"unknown hop phase {phase!r}")
+        port, down = tree.step(at, label.addr_to, phase == DOWN)
+        return port, DOWN if down else UP
 
     def route_hop(self, x: int, y: int) -> List[int]:
         """Drive a full hop ``x -> y`` (analysis helper)."""

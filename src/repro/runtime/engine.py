@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.exceptions import HopLimitExceeded, RoutingError, TableLookupError
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import Digraph
+from repro.graph.digraph import Digraph, sorted_lookup
 from repro.graph.limits import dense_table_max_n
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
     EXECUTION_ENGINES,
@@ -120,6 +120,18 @@ class StepTables:
         raise NotImplementedError
 
 
+def _require_entries(nxt, at, target, what: str, phase=None) -> None:
+    """Raise :class:`TableLookupError` for the first packet whose
+    compiled decision is missing (``-1``)."""
+    if (nxt < 0).any():
+        bad = int(np.flatnonzero(nxt < 0)[0])
+        where = "" if phase is None else f" (phase {int(phase[bad])})"
+        raise TableLookupError(
+            f"no compiled {what} at vertex {int(at[bad])} toward "
+            f"{int(target[bad])}{where}"
+        )
+
+
 class DenseNextHop(StepTables):
     """Single-matrix step tables: ``next[u, target]`` is the next
     vertex (full-table schemes; also the looping-stub test double)."""
@@ -134,12 +146,7 @@ class DenseNextHop(StepTables):
         self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         nxt = self.next_vertex[at, target]
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
-            raise TableLookupError(
-                f"no compiled next hop at vertex {int(at[bad])} toward "
-                f"{int(target[bad])}"
-            )
+        _require_entries(nxt, at, target, "next hop")
         return nxt, phase
 
 
@@ -178,12 +185,7 @@ class BlockedNextHop(StepTables):
             sel = bidx == b
             block = self.blocks[int(b)]
             nxt[sel] = block[at[sel] - int(b) * self.block_rows, target[sel]]
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
-            raise TableLookupError(
-                f"no compiled next hop at vertex {int(at[bad])} toward "
-                f"{int(target[bad])}"
-            )
+        _require_entries(nxt, at, target, "next hop")
         return nxt, phase
 
 
@@ -280,8 +282,33 @@ class SubstrateStepTables(StepTables):
         self.center_idx = center_idx
         self.has_direct = has_direct
 
+    @classmethod
+    def from_substrate(cls, substrate) -> "SubstrateStepTables":
+        """Scatter the landmark-factored pair tables into dense
+        matrices (pair key ``u * n + v`` is the flat index of
+        ``[u, v]``)."""
+        pairs = LandmarkTables.from_substrate(substrate)
+        n = pairs.n
+        direct_next = np.full((n, n), -1, dtype=np.int32)
+        direct_next.flat[pairs.direct_keys] = pairs.direct_next
+        down_next = np.full((n, n), -1, dtype=np.int32)
+        down_next.flat[pairs.down_keys] = pairs.down_next
+        return cls(
+            direct_next, pairs.up_next, down_next,
+            pairs.center_of, pairs.center_idx, direct_next >= 0,
+        )
+
+    def _direct_found(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return self.has_direct[at, target]
+
+    def _direct_step(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return self.direct_next[at, target]
+
+    def _down_step(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return self.down_next[at, target]
+
     def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
-        direct = (at == target) | self.has_direct[at, target]
+        direct = (at == target) | self._direct_found(at, target)
         at_center = at == self.center_of[target]
         return np.where(
             direct, PHASE_DIRECT, np.where(at_center, PHASE_DOWN, PHASE_UP)
@@ -298,49 +325,18 @@ class SubstrateStepTables(StepTables):
         ).astype(np.int8)
         nxt = np.where(
             phase == PHASE_DIRECT,
-            self.direct_next[at, target],
+            self._direct_step(at, target),
             np.where(
                 phase == PHASE_UP,
                 self.up_next[at, self.center_idx[target]],
-                self.down_next[at, target],
+                self._down_step(at, target),
             ),
         )
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
-            raise TableLookupError(
-                f"no compiled substrate entry at vertex {int(at[bad])} "
-                f"toward {int(target[bad])} (phase {int(phase[bad])})"
-            )
+        _require_entries(nxt, at, target, "substrate entry", phase)
         return nxt, phase
 
 
-def _sorted_pair_lookup(
-    keys: np.ndarray,
-    values: np.ndarray,
-    at: np.ndarray,
-    target: np.ndarray,
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Query a sorted ``(u * n + v) -> next`` table by binary search.
-
-    Returns ``(next_vertices, found)`` with ``-1`` where the pair has
-    no entry — the sparse analogue of gathering a ``-1``-filled dense
-    matrix at ``[at, target]``.
-    """
-    queries = at.astype(np.int64) * np.int64(n) + target.astype(np.int64)
-    if keys.shape[0] == 0:
-        return (
-            np.full(queries.shape[0], -1, dtype=np.int64),
-            np.zeros(queries.shape[0], dtype=bool),
-        )
-    pos = np.searchsorted(keys, queries)
-    np.minimum(pos, keys.shape[0] - 1, out=pos)
-    found = keys[pos] == queries
-    nxt = np.where(found, values[pos], -1).astype(np.int64)
-    return nxt, found
-
-
-class LandmarkTables(StepTables):
+class LandmarkTables(SubstrateStepTables):
     """Landmark-factored substrate step tables with o(n²) memory.
 
     Same decision function as :class:`SubstrateStepTables` — the paper's
@@ -361,7 +357,6 @@ class LandmarkTables(StepTables):
 
     def __init__(
         self,
-        n: int,
         direct_keys: np.ndarray,
         direct_next: np.ndarray,
         down_keys: np.ndarray,
@@ -370,7 +365,6 @@ class LandmarkTables(StepTables):
         center_of: np.ndarray,
         center_idx: np.ndarray,
     ):
-        self.n = int(n)
         self.direct_keys = direct_keys
         self.direct_next = direct_next
         self.down_keys = down_keys
@@ -379,172 +373,76 @@ class LandmarkTables(StepTables):
         self.center_of = center_of
         self.center_idx = center_idx
 
+    @classmethod
+    def from_substrate(cls, substrate) -> "LandmarkTables":
+        """Sort the substrate's table rows into pair tables."""
+        n = substrate.metric.n
+        u, v, nxt = substrate.direct_table()
+        p, w, x = substrate.down_table()
+        return cls(
+            *_pack_pair_table(u * n + v, nxt),
+            *_pack_pair_table(p * n + w, x),
+            *_landmark_columns(substrate),
+        )
+
+    @property
+    def n(self) -> int:
+        return int(self.center_of.shape[0])
+
     def nbytes(self) -> int:
         """Bytes across every table (the o(n²) claim is testable)."""
-        return sum(
-            int(arr.nbytes)
-            for arr in (
-                self.direct_keys, self.direct_next, self.down_keys,
-                self.down_next, self.up_next, self.center_of,
-                self.center_idx,
-            )
-        )
+        return sum(int(arr.nbytes) for arr in vars(self).values())
 
-    def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _, has_direct = _sorted_pair_lookup(
-            self.direct_keys, self.direct_next, at, target, self.n
-        )
-        direct = (at == target) | has_direct
-        at_center = at == self.center_of[target]
-        return np.where(
-            direct, PHASE_DIRECT, np.where(at_center, PHASE_DOWN, PHASE_UP)
-        ).astype(np.int8)
+    def _pairs(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return at.astype(np.int64) * np.int64(self.n) + target.astype(np.int64)
 
-    def step(
-        self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        center = self.center_of[target]
-        phase = np.where(
-            (phase == PHASE_UP) & (at == center), PHASE_DOWN, phase
-        ).astype(np.int8)
-        direct_nxt, _ = _sorted_pair_lookup(
-            self.direct_keys, self.direct_next, at, target, self.n
-        )
-        down_nxt, _ = _sorted_pair_lookup(
-            self.down_keys, self.down_next, at, target, self.n
-        )
-        nxt = np.where(
-            phase == PHASE_DIRECT,
-            direct_nxt,
-            np.where(
-                phase == PHASE_UP,
-                self.up_next[at, self.center_idx[target]],
-                down_nxt,
-            ),
-        )
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
-            raise TableLookupError(
-                f"no compiled substrate entry at vertex {int(at[bad])} "
-                f"toward {int(target[bad])} (phase {int(phase[bad])})"
-            )
-        return nxt, phase
+    def _direct_found(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return sorted_lookup(
+            self.direct_keys, self.direct_next, self._pairs(at, target)
+        )[1]
+
+    def _direct_step(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return sorted_lookup(
+            self.direct_keys, self.direct_next, self._pairs(at, target)
+        )[0]
+
+    def _down_step(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+        return sorted_lookup(
+            self.down_keys, self.down_next, self._pairs(at, target)
+        )[0]
 
 
 def compile_landmark_tables(substrate) -> LandmarkTables:
-    """Compile a substrate into :class:`LandmarkTables` (the blocked /
-    sparse family counterpart of :func:`compile_substrate_tables`).
-
-    Cached on the substrate (``_compiled_landmark_tables``) and, when
-    the artifact store is active, persisted under a
-    ``landmark-tables`` key so warm processes memory-map the sorted
-    pair tables instead of rebuilding them.
-    """
-    cached = getattr(substrate, "_compiled_landmark_tables", None)
-    if cached is not None:
-        return cached
-    g: Digraph = substrate.metric.oracle.graph
-    n = g.n
-    centers = substrate.centers
-
-    from repro.store import StoreKey, default_store, graph_content_hash
-
-    store = default_store()
-    store_key = None
-    if store is not None and g.frozen:
-        store_key = StoreKey(
-            "landmark-tables",
-            1,
-            {"graph": graph_content_hash(g), "centers": [int(c) for c in centers]},
-        )
-        entry = store.get(store_key)
-        if entry is not None and entry.arrays["up_next"].shape == (
-            n, len(centers),
-        ):
-            a = entry.arrays
-            tables = LandmarkTables(
-                n, a["direct_keys"], a["direct_next"],
-                a["down_keys"], a["down_next"], a["up_next"],
-                a["center_of"], a["center_idx"],
-            )
-            substrate._compiled_landmark_tables = tables
-            return tables
-    t0 = time.perf_counter()
-    cindex = {c: i for i, c in enumerate(centers)}
-
-    direct_pairs: List[Tuple[int, int]] = []
-    for u in range(n):
-        for v, port in substrate._direct[u].items():
-            direct_pairs.append((u * n + v, g.head_of_port(u, port)))
-    direct_keys, direct_next = _pack_pair_table(direct_pairs)
-
-    up_next = np.full((n, len(centers)), -1, dtype=np.int32)
-    for ci, c in enumerate(centers):
-        in_tree = substrate._in_trees[c]
-        for u in range(n):
-            if u == c:
-                continue
-            up_next[u, ci] = g.head_of_port(u, in_tree.next_port(u))
-
-    center_of = np.empty(n, dtype=np.int32)
-    center_idx = np.empty(n, dtype=np.int32)
-    down_pairs: List[Tuple[int, int]] = []
-    parents = {
-        c: substrate.metric.oracle.forward_tree_parents(c) for c in centers
-    }
-    for v in range(n):
-        c = substrate.assignment.home_center(v)
-        center_of[v] = c
-        center_idx[v] = cindex[c]
-        par = parents[c]
-        x = v
-        while x != c:
-            p = par[x]
-            down_pairs.append((p * n + v, x))
-            x = p
-
-    down_keys, down_next = _pack_pair_table(down_pairs)
-    tables = LandmarkTables(
-        n, direct_keys, direct_next, down_keys, down_next,
-        up_next, center_of, center_idx,
-    )
-    substrate._compiled_landmark_tables = tables
-    if store_key is not None:
-        store.put(
-            store_key,
-            {
-                "direct_keys": direct_keys,
-                "direct_next": direct_next,
-                "down_keys": down_keys,
-                "down_next": down_next,
-                "up_next": up_next,
-                "center_of": center_of,
-                "center_idx": center_idx,
-            },
-            meta={"centers": len(centers)},
-            build_seconds=time.perf_counter() - t0,
-        )
-    return tables
+    """The blocked family of :func:`compile_substrate_tables`."""
+    return compile_substrate_tables(substrate, "blocked")
 
 
 def _pack_pair_table(
-    pairs: List[Tuple[int, int]],
+    keys: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort ``(key, next_vertex)`` pairs into aligned lookup arrays.
+    """Sort ``key -> next_vertex`` rows into aligned lookup arrays.
 
     Keys are unique by construction (one entry per table slot), so the
     sorted form is canonical — store round-trips rehydrate the exact
     same bytes.
     """
-    if not pairs:
-        return (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
-        )
-    arr = np.asarray(pairs, dtype=np.int64)
-    order = np.argsort(arr[:, 0], kind="stable")
-    keys = np.ascontiguousarray(arr[order, 0])
-    values = np.ascontiguousarray(arr[order, 1].astype(np.int32))
-    return keys, values
+    order = np.argsort(keys, kind="stable")
+    return (
+        np.ascontiguousarray(keys[order], dtype=np.int64),
+        np.ascontiguousarray(values[order], dtype=np.int32),
+    )
+
+
+def _landmark_columns(substrate) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(up_next, center_of, center_idx)``: the ``(n, C)`` next vertex
+    toward each landmark (``-1`` at it), each vertex's home landmark
+    and that landmark's column."""
+    arrays = substrate.to_arrays()
+    return (
+        np.ascontiguousarray(arrays["in_succ"].T, dtype=np.int32),
+        arrays["home"].astype(np.int32),
+        np.searchsorted(arrays["centers"], arrays["home"]).astype(np.int32),
+    )
 
 
 def compile_substrate_tables(substrate, tables: str = "dense") -> StepTables:
@@ -552,28 +450,31 @@ def compile_substrate_tables(substrate, tables: str = "dense") -> StepTables:
     three forwarding structures into step tables.
 
     ``tables="dense"`` yields the original :class:`SubstrateStepTables`
-    (three ``(n, n)`` arrays); ``tables="blocked"`` dispatches to
-    :func:`compile_landmark_tables`, the o(n²) landmark-factored form.
-    Both make identical decisions — the family only changes memory.
+    (three ``(n, n)`` arrays); ``tables="blocked"`` yields
+    :class:`LandmarkTables`, the o(n²) landmark-factored form.  Both
+    make identical decisions — the family only changes memory — and
+    both are scatters or sorts of the substrate's own table arrays.
 
-    The dense result is cached on the substrate object, so every scheme
+    The result is cached on the substrate object, so every scheme
     sharing one substrate (stretch-6, its variant, wild names, the RTZ
     baseline — deduplicated by :func:`repro.rtz.routing.shared_substrate`)
-    compiles it exactly once.
+    compiles each family exactly once.
 
     When the artifact store is active (:func:`repro.store.default_store`)
-    the six dense arrays are persisted keyed by ``(graph content hash,
-    landmark set)`` — a pure function of those two, so no seed enters
-    the key — and later compiles (other processes, pool shard workers
-    rehydrating a pickled scheme) memory-map them instead of rebuilding.
+    the arrays are persisted keyed by ``(graph content hash, landmark
+    set)`` — a pure function of those two, so no seed enters the key —
+    and later compiles (other processes, pool shard workers rehydrating
+    a pickled scheme) memory-map them instead of rebuilding.
     """
-    if tables == "blocked":
-        return compile_landmark_tables(substrate)
-    cached = getattr(substrate, "_compiled_step_tables", None)
+    family, kind, attr = (
+        (LandmarkTables, "landmark-tables", "_compiled_landmark_tables")
+        if tables == "blocked"
+        else (SubstrateStepTables, "substrate-tables", "_compiled_step_tables")
+    )
+    cached = getattr(substrate, attr, None)
     if cached is not None:
         return cached
     g: Digraph = substrate.metric.oracle.graph
-    n = g.n
     centers = substrate.centers
 
     from repro.store import StoreKey, default_store, graph_content_hash
@@ -582,75 +483,28 @@ def compile_substrate_tables(substrate, tables: str = "dense") -> StepTables:
     store_key = None
     if store is not None and g.frozen:
         store_key = StoreKey(
-            "substrate-tables",
+            kind,
             1,
             {"graph": graph_content_hash(g), "centers": [int(c) for c in centers]},
         )
         entry = store.get(store_key)
-        if entry is not None and entry.arrays["direct_next"].shape == (n, n):
-            a = entry.arrays
-            tables = SubstrateStepTables(
-                a["direct_next"], a["up_next"], a["down_next"],
-                a["center_of"], a["center_idx"], a["has_direct"],
-            )
-            substrate._compiled_step_tables = tables
-            return tables
+        if entry is not None and entry.arrays["up_next"].shape == (
+            g.n, len(centers),
+        ):
+            compiled = family(**entry.arrays)
+            setattr(substrate, attr, compiled)
+            return compiled
     t0 = time.perf_counter()
-    cindex = {c: i for i, c in enumerate(centers)}
-
-    direct_next = np.full((n, n), -1, dtype=np.int32)
-    has_direct = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v, port in substrate._direct[u].items():
-            direct_next[u, v] = g.head_of_port(u, port)
-            has_direct[u, v] = True
-
-    up_next = np.full((n, len(centers)), -1, dtype=np.int32)
-    for ci, c in enumerate(centers):
-        in_tree = substrate._in_trees[c]
-        for u in range(n):
-            if u == c:
-                continue
-            up_next[u, ci] = g.head_of_port(u, in_tree.next_port(u))
-
-    # Down-tree entries are only ever consulted on canonical
-    # center(v) -> v paths, so populate exactly those.
-    center_of = np.empty(n, dtype=np.int32)
-    center_idx = np.empty(n, dtype=np.int32)
-    down_next = np.full((n, n), -1, dtype=np.int32)
-    parents = {
-        c: substrate.metric.oracle.forward_tree_parents(c) for c in centers
-    }
-    for v in range(n):
-        c = substrate.assignment.home_center(v)
-        center_of[v] = c
-        center_idx[v] = cindex[c]
-        par = parents[c]
-        x = v
-        while x != c:
-            p = par[x]
-            down_next[p, v] = x
-            x = p
-
-    tables = SubstrateStepTables(
-        direct_next, up_next, down_next, center_of, center_idx, has_direct
-    )
-    substrate._compiled_step_tables = tables
+    compiled = family.from_substrate(substrate)
+    setattr(substrate, attr, compiled)
     if store_key is not None:
         store.put(
             store_key,
-            {
-                "direct_next": direct_next,
-                "up_next": up_next,
-                "down_next": down_next,
-                "center_of": center_of,
-                "center_idx": center_idx,
-                "has_direct": has_direct,
-            },
+            dict(vars(compiled)),
             meta={"centers": len(centers)},
             build_seconds=time.perf_counter() - t0,
         )
-    return tables
+    return compiled
 
 
 # ----------------------------------------------------------------------
@@ -755,33 +609,30 @@ class SparseKnowledge(DenseKnowledge):
             sources.astype(np.int64) * np.int64(self.n)
             + dests.astype(np.int64)
         )
-        if self.keys.shape[0] == 0:
-            return np.zeros(queries.shape[0], dtype=bool)
-        pos = np.searchsorted(self.keys, queries)
-        np.minimum(pos, self.keys.shape[0] - 1, out=pos)
-        return self.keys[pos] == queries
+        return sorted_lookup(self.keys, self.keys, queries)[1]
 
 
 def compile_knowledge(
-    n: int,
-    label_tables: Sequence[Sequence],
-    resolve,
+    near: np.ndarray,
+    held: np.ndarray,
+    block_vertices: Sequence[np.ndarray],
     block_ptr: np.ndarray,
-    block_of_vertex,
     tables: str = "dense",
 ) -> DenseKnowledge:
     """Planner inputs shared by the dictionary-based schemes.
 
+    A node holds a destination's label locally when the destination is
+    in its neighbourhood (Fig. 3 case 1) or in a block it stores
+    (case 3); both are read off arrays, never off the label tables.
+
     Args:
-        n: vertex count.
-        label_tables: per-node key->label dicts whose *keys* mean
-            "this node holds the destination's label locally" (the
-            Fig. 3 cases 1 and 3 tables, in any keying).
-        resolve: key -> destination vertex (the scheme's name/wild
-            resolution).
+        near: ``(n, s)`` vertex array; row ``u`` is ``N(u)`` (case 1).
+        held: ``(n, num_blocks)`` bool; ``held[u, b]`` iff ``u``
+            stores block ``b`` (case 3).
+        block_vertices: per block, the vertices whose names it holds
+            (every vertex in exactly one block).
         block_ptr: ``(n, num_blocks)`` block-index -> holder-vertex
             array (case 2).
-        block_of_vertex: vertex -> responsible block index.
         tables: ``"dense"`` builds the ``(n, n)`` bool matrix;
             ``"blocked"`` builds the sorted-key :class:`SparseKnowledge`
             (identical answers, Θ(table entries) memory).
@@ -789,22 +640,25 @@ def compile_knowledge(
     Returns:
         A :class:`DenseKnowledge` (or :class:`SparseKnowledge`).
     """
+    n = near.shape[0]
     block_ptr = np.asarray(block_ptr, dtype=np.int64)
-    bov = np.array([block_of_vertex(v) for v in range(n)], dtype=np.int64)
+    bov = np.empty(n, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    holders = [np.flatnonzero(held[:, b]) for b in range(held.shape[1])]
+    for b, verts in enumerate(block_vertices):
+        bov[verts] = b
     if tables == "blocked":
-        raw_keys = [
-            u * n + resolve(key)
-            for table in label_tables
-            for u in range(n)
-            for key in table[u]
-        ]
-        keys = np.unique(np.asarray(raw_keys, dtype=np.int64))
-        return SparseKnowledge(n, keys, block_ptr, bov)
+        keys = np.sort(np.concatenate([(rows * n + near).ravel()] + [
+            (h[:, None] * n + verts[None, :]).ravel()
+            for h, verts in zip(holders, block_vertices)
+        ]))
+        first = np.ones(keys.shape[0], dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return SparseKnowledge(n, keys[first], block_ptr, bov)
     knows = np.zeros((n, n), dtype=bool)
-    for table in label_tables:
-        for u in range(n):
-            for key in table[u]:
-                knows[u, resolve(key)] = True
+    knows[rows, near] = True
+    for h, verts in zip(holders, block_vertices):
+        knows[h[:, None], verts[None, :]] = True
     return DenseKnowledge(knows, block_ptr, bov)
 
 

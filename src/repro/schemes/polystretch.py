@@ -274,19 +274,10 @@ class PolynomialStretchScheme(RoutingScheme):
         """One in-tree forwarding decision (up to the center, then down
         the out-tree)."""
         tree = self.hierarchy.tree_by_id(tree_id)
-        if phase == _UP:
-            at_addr = (
-                tree.address_of(at) if tree.out_tree.contains(at) else None
-            )
-            if at_addr == target:
-                return None, phase
-            if at == tree.root:
-                phase = _DOWN
-            else:
-                return tree.in_pointers.next_port(at), _UP
-        if phase == _DOWN:
-            return tree.out_tree.next_port(at, target), _DOWN
-        raise TableLookupError(f"unknown tree phase {phase!r}")
+        if phase not in (_UP, _DOWN):
+            raise TableLookupError(f"unknown tree phase {phase!r}")
+        port, down = tree.step(at, target, phase == _DOWN)
+        return port, _DOWN if down else _UP
 
     # ------------------------------------------------------------------
     # accounting

@@ -26,6 +26,8 @@ import random
 from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.dictionary.distribution import BlockDistribution
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
@@ -107,22 +109,22 @@ class StretchSixScheme(RoutingScheme):
         names = [self.name_of(v) for v in range(n)]
         labels = [self.rtz.label(v) for v in range(n)]
         # (1) neighborhood labels: per node, name -> R3 label.
+        near = metric.order_matrix()[:, : metric.sqrt_size()]
         self._near: List[Dict[int, R3Label]] = [
-            {names[v]: labels[v] for v in metric.sqrt_neighborhood(u)}
-            for u in range(n)
+            {names[v]: labels[v] for v in row} for row in near.tolist()
         ]
         # (2) block pointers: (n, num_blocks), block index -> the
         # dictionary vertex serving it.
         self._block_ptr = self.distribution.block_pointers()
         # (3) dictionary slices: per node, name -> R3 label for every
         # vertex of every slot in every stored block.
+        self._block_vertices = [
+            np.array([x for j in members for x in self._slot_vertices(j)], np.int64)
+            for members in map(self.blocks.block_members, range(self.blocks.num_blocks()))
+        ]
         by_block = [
-            [
-                (names[x], labels[x])
-                for j in self.blocks.block_members(b)
-                for x in self._slot_vertices(j)
-            ]
-            for b in range(self.blocks.num_blocks())
+            [(names[x], labels[x]) for x in verts.tolist()]
+            for verts in self._block_vertices
         ]
         self._dict: List[Dict[int, R3Label]] = [
             dict(chain.from_iterable(by_block[b] for b in self.distribution.sets[u]))
@@ -245,12 +247,12 @@ class StretchSixScheme(RoutingScheme):
         dense or sorted-key sparse per the table family."""
         from repro.runtime.engine import compile_knowledge
 
+        metric = self._metric
         return compile_knowledge(
-            self._metric.n,
-            (self._near, self._dict),
-            self.vertex_of,
+            metric.order_matrix()[:, : metric.sqrt_size()],
+            self.distribution.held(),
+            self._block_vertices,
             self._block_ptr,
-            lambda v: self.blocks.block_of(self._slot_of(self.name_of(v))),
             tables=tables,
         )
 

@@ -17,6 +17,14 @@ The storage per node is ``O(deg_T(x))`` words rather than ``~O(1)``;
 this substitution is documented in DESIGN.md and its cost is visible in
 the measured table sizes (never hidden behind an asymptotic claim).
 
+The interval tables are arrays, and :class:`IntervalForest` builds them
+for any number of trees at once: preorder numbers (children in
+ascending vertex order) and interval ends come from an Euler tour of
+each tree, ranked by pointer jumping, so the work takes ``O(log n)``
+whole-array rounds whatever the tree depth; child-row ports come from
+one vectorised :meth:`~repro.graph.digraph.Digraph.ports_of` lookup.
+:class:`OutTreeRouter` is the one-tree view.
+
 The tree edges live in the underlying digraph ``G``: an *out-tree* is a
 shortest-path tree away from the root (used to route root -> node), and
 the companion *in-structure* is simply a next-hop pointer per node
@@ -28,9 +36,11 @@ paths into the root.  :class:`DoubleTreeRouter` in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import ConstructionError, TableLookupError
+import numpy as np
+
+from repro.exceptions import ConstructionError, GraphError, TableLookupError
 from repro.graph.digraph import Digraph
 
 
@@ -56,20 +66,135 @@ class TreeAddress:
         return self.bit_size(n)
 
 
-@dataclass
-class _NodeTable:
-    """Per-node routing rows for one tree (interval routing)."""
+class IntervalForest:
+    """Interval routing tables of ``T`` rooted out-trees embedded in
+    ``G``, as arrays.
 
-    #: DFS entry time of this node.
-    dfs: int
-    #: exclusive end of this node's subtree interval
-    dfs_end: int
-    #: rows: (interval_lo, interval_hi_exclusive, port)
-    child_rows: List[Tuple[int, int, int]]
+    Args:
+        g: the underlying (frozen) digraph; tree edges must exist in it.
+        roots: ``(T,)`` root vertices.
+        parents: ``(T, n)`` parent rows: ``parents[t, v]`` is the parent
+            of ``v`` in tree ``t``, ``-1`` for vertices *not* in the
+            tree (the root's entry is ignored).
+
+    Attributes:
+        dfs: ``(T, n)`` int64 preorder numbers, ``-1`` off the tree.
+        row_ptr: ``(T * n + 1,)``; the child rows of ``v`` in tree ``t``
+            are ``row_ptr[t * n + v]:row_ptr[t * n + v + 1]``, in
+            ascending child (hence interval) order.
+        row_key, row_child, row_lo, row_hi, row_port: per child row,
+            ``t * n + parent``, the child, its subtree interval
+            ``[lo, hi)`` and the tree edge's port.
+
+    Raises:
+        ConstructionError: if a parent edge is missing from ``G``, the
+            parent structure has a cycle, or a vertex's parent chain is
+            cut off from the root.
+    """
+
+    def __init__(self, g: Digraph, roots: Sequence[int], parents):
+        n = self.n = g.n
+        roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+        num = roots.shape[0]
+        trees = np.arange(num)
+        parents = np.array(parents, dtype=np.int64).reshape(num, n)
+        parents[trees, roots] = -1
+        # Child edges in (tree, parent, child) order: nonzero walks rows
+        # in ascending child order and the stable sort keeps it.
+        tt, cv = np.nonzero(parents >= 0)
+        cp = parents[tt, cv]
+        try:
+            ports = g.ports_of(cp, cv)
+        except GraphError as exc:
+            raise ConstructionError(
+                f"tree edge not present in the digraph: {exc}"
+            ) from exc
+        order = np.argsort(tt * n + cp, kind="stable")
+        tt, cv, ports = tt[order], cv[order], ports[order]
+        key = tt * n + cp[order]
+        _check_rooted(parents, roots)
+
+        # Euler tour: arc i descends edge i, arc m + i climbs back, and
+        # arc 2m is an absorbing end sentinel (a root's "edge" is m).
+        m = key.shape[0]
+        row_ptr = np.searchsorted(key, np.arange(num * n + 1))
+        edge_of = np.full(num * n, m, dtype=np.int64)
+        edge_of[tt * n + cv] = np.arange(m)
+        own = tt * n + cv
+        last_child = np.ones(m, dtype=bool)
+        last_child[:-1] = key[1:] != key[:-1]
+        nxt = np.concatenate((
+            np.where(row_ptr[own + 1] > row_ptr[own], row_ptr[own], m + np.arange(m)),
+            np.where(last_child, m + edge_of[key], np.arange(1, m + 1)),
+            [2 * m],
+        ))
+        # Rank the tour by pointer jumping: after[a] counts the
+        # descents from arc a to the end.
+        after = np.concatenate((np.ones(m, np.int64), np.zeros(m + 1, np.int64)))
+        while (nxt != 2 * m).any():
+            after += after[nxt]
+            nxt = nxt[nxt]
+        descents = np.bincount(tt, minlength=num)
+        self.dfs = np.full((num, n), -1, dtype=np.int64)
+        self.dfs[trees, roots] = 0
+        self.dfs[tt, cv] = self.row_lo = descents[tt] - after[:m] + 1
+        self.row_hi = descents[tt] - after[m : 2 * m] + 1
+        self.row_ptr = row_ptr
+        self.row_key = key
+        self.row_child = cv
+        self.row_port = ports
+
+    def contains(self, v: int, t: int = 0) -> bool:
+        """Whether ``v`` is in tree ``t``."""
+        return 0 <= v < self.n and bool(self.dfs[t, v] >= 0)
+
+    def port_toward(self, at: int, target: int, t: int = 0) -> Optional[int]:
+        """Interval-routing decision at ``at`` toward the node numbered
+        ``target`` in tree ``t``; ``None`` when ``at`` is that node.
+
+        Raises:
+            TableLookupError: if ``at`` is not in the tree or ``target``
+                is not in its subtree (interval routing can only move
+                *down* an out-tree).
+        """
+        if not self.contains(at, t):
+            raise TableLookupError(f"vertex {at} is not in tree {t}")
+        if target == self.dfs[t, at]:
+            return None
+        lo, hi = self.row_ptr[t * self.n + at : t * self.n + at + 2]
+        row = lo + int(np.searchsorted(self.row_lo[lo:hi], target, "right")) - 1
+        if row >= lo and target < self.row_hi[row]:
+            return int(self.row_port[row])
+        raise TableLookupError(
+            f"target dfs {target} not under vertex {at} in tree {t}"
+        )
+
+    def entries(self) -> np.ndarray:
+        """``(T, n)`` stored rows per tree and vertex: 2 scalars for
+        the own interval plus 3 per child row; 0 off the tree."""
+        children = np.diff(self.row_ptr).reshape(self.dfs.shape)
+        return np.where(self.dfs >= 0, 2 + 3 * children, 0)
 
 
-class OutTreeRouter:
-    """Interval routing over a rooted out-tree embedded in ``G``.
+def _check_rooted(parents: np.ndarray, roots: np.ndarray) -> None:
+    """Raise unless every vertex with a parent reaches its tree's root:
+    after ``ceil(log2 n)`` pointer-jumping squarings each vertex points
+    at the end of its (shorter than ``n``) parent chain, or at a cycle
+    vertex, the only kind that is not a fixed point."""
+    num, n = parents.shape
+    base = np.arange(num * n).reshape(num, n)
+    anc = np.where(parents >= 0, base - np.arange(n) + parents, base).ravel()
+    for _ in range(max(1, (n - 1).bit_length())):
+        anc = anc[anc]
+    linked = (parents >= 0).ravel()
+    if (linked & (anc[anc] != anc)).any():
+        raise ConstructionError("parent structure contains a cycle")
+    if (linked & (anc != np.repeat(base[:, 0] + roots, n))).any():
+        raise ConstructionError("parent structure is disconnected from root")
+
+
+class OutTreeRouter(IntervalForest):
+    """Interval routing over one rooted out-tree embedded in ``G``.
 
     Args:
         g: the underlying (frozen) digraph; tree edges must exist in it.
@@ -79,111 +204,41 @@ class OutTreeRouter:
         tree_id: identifier baked into addresses.
 
     Raises:
-        ConstructionError: if a parent edge is missing from ``G`` or the
-            parent structure has a cycle.
+        ConstructionError: if a parent edge is missing from ``G``, the
+            parent structure has a cycle, or a vertex is cut off from
+            the root.
     """
 
     def __init__(self, g: Digraph, root: int, parents: Sequence[int], tree_id: int):
+        super().__init__(g, [root], [parents])
         self._g = g
-        self._root = root
-        self._tree_id = tree_id
-        n = g.n
-        children: Dict[int, List[int]] = {}
-        members = [root]
-        for v in range(n):
-            p = parents[v]
-            if v == root or p == -1:
-                continue
-            if not g.has_edge(p, v):
-                raise ConstructionError(
-                    f"tree edge ({p}, {v}) not present in the digraph"
-                )
-            children.setdefault(p, []).append(v)
-            members.append(v)
-        # DFS numbering (iterative; children in ascending vertex order
-        # for determinism).
-        dfs_of: Dict[int, int] = {}
-        dfs_end: Dict[int, int] = {}
-        counter = 0
-        stack: List[Tuple[int, bool]] = [(root, False)]
-        while stack:
-            v, processed = stack.pop()
-            if processed:
-                dfs_end[v] = counter
-                continue
-            if v in dfs_of:
-                raise ConstructionError("parent structure contains a cycle")
-            dfs_of[v] = counter
-            counter += 1
-            stack.append((v, True))
-            for c in sorted(children.get(v, []), reverse=True):
-                stack.append((c, False))
-        if len(dfs_of) != len(members):
-            raise ConstructionError("parent structure is disconnected from root")
-        self._dfs_of = dfs_of
-        self._tables: Dict[int, _NodeTable] = {}
-        for v in dfs_of:
-            rows = []
-            for c in sorted(children.get(v, [])):
-                rows.append((dfs_of[c], dfs_end[c], g.port_of(v, c)))
-            self._tables[v] = _NodeTable(dfs_of[v], dfs_end[v], rows)
-
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> int:
-        """The tree root vertex."""
-        return self._root
-
-    @property
-    def tree_id(self) -> int:
-        """The tree identifier."""
-        return self._tree_id
+        #: the tree root vertex and the identifier in its addresses
+        self.root = root
+        self.tree_id = tree_id
 
     def members(self) -> List[int]:
         """All vertices spanned by the tree."""
-        return sorted(self._dfs_of)
-
-    def contains(self, v: int) -> bool:
-        """Whether ``v`` is in the tree."""
-        return v in self._dfs_of
+        return np.flatnonzero(self.dfs[0] >= 0).tolist()
 
     def address_of(self, v: int) -> TreeAddress:
         """The routing address of tree member ``v``."""
-        try:
-            return TreeAddress(self._tree_id, self._dfs_of[v])
-        except KeyError as exc:
-            raise TableLookupError(
-                f"vertex {v} is not in tree {self._tree_id}"
-            ) from exc
+        if not self.contains(v):
+            raise TableLookupError(f"vertex {v} is not in tree {self.tree_id}")
+        return TreeAddress(self.tree_id, int(self.dfs[0, v]))
 
     def next_port(self, at: int, target: TreeAddress) -> Optional[int]:
-        """Forwarding decision at ``at`` toward ``target``.
-
-        Returns:
-            The fixed port to forward on, or ``None`` when ``at`` is the
-            target itself.
+        """Forwarding decision at ``at`` toward ``target``: the fixed
+        port, or ``None`` when ``at`` is the target itself.
 
         Raises:
-            TableLookupError: if ``at`` is not in the tree or the target
-                is not in ``at``'s subtree (interval routing can only
-                move *down* an out-tree).
+            TableLookupError: for another tree's address, or as
+                :meth:`IntervalForest.port_toward`.
         """
-        if target.tree_id != self._tree_id:
+        if target.tree_id != self.tree_id:
             raise TableLookupError(
-                f"address for tree {target.tree_id} used in tree {self._tree_id}"
+                f"address for tree {target.tree_id} used in tree {self.tree_id}"
             )
-        table = self._tables.get(at)
-        if table is None:
-            raise TableLookupError(f"vertex {at} is not in tree {self._tree_id}")
-        if target.dfs == table.dfs:
-            return None
-        for (lo, hi, port) in table.child_rows:
-            if lo <= target.dfs < hi:
-                return port
-        raise TableLookupError(
-            f"target dfs {target.dfs} not under vertex {at} in tree "
-            f"{self._tree_id}"
-        )
+        return self.port_toward(at, target.dfs)
 
     def route(self, source: int, target: int) -> List[int]:
         """Full vertex path from ``source`` down to ``target``
@@ -199,16 +254,12 @@ class OutTreeRouter:
             at = self._g.head_of_port(at, port)
             path.append(at)
 
-    # ------------------------------------------------------------------
-    # size accounting
-    # ------------------------------------------------------------------
     def table_entries_at(self, v: int) -> int:
         """Number of stored rows at ``v`` for this tree (2 scalars for
         the own-interval plus one row per child)."""
-        table = self._tables.get(v)
-        if table is None:
+        if not self.contains(v):
             return 0
-        return 2 + 3 * len(table.child_rows)
+        return 2 + 3 * int(self.row_ptr[v + 1] - self.row_ptr[v])
 
 
 def build_out_tree(
@@ -228,16 +279,11 @@ def build_out_tree(
     if restrict_to is None:
         return OutTreeRouter(g, root, parents, tree_id)
     keep = set()
-    member_set = set(restrict_to) | {root}
-    for v in member_set:
-        x = v
+    for x in set(restrict_to) | {root}:
         while x != -1 and x not in keep:
             keep.add(x)
-            if x == root:
-                break
-            x = parents[x]
+            x = -1 if x == root else parents[x]
     pruned = [parents[v] if v in keep else -1 for v in range(g.n)]
-    pruned[root] = -1
     return OutTreeRouter(g, root, pruned, tree_id)
 
 

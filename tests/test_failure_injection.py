@@ -57,16 +57,22 @@ class TestCorruptedTables:
     def test_corrupted_direct_table_detected(self):
         inst = make_instance(seed=2)
         rtz = RTZStretch3(inst.metric, random.Random(3))
-        # remove a mid-path direct entry: forwarding must raise, not loop
+        # drop a mid-path direct row from the stored tables: forwarding
+        # on the rehydrated substrate must raise, not loop
+        arrays = rtz.to_arrays()
         for v in range(inst.graph.n):
             cluster = sorted(rtz.assignment.cluster(v))
             for u in cluster:
                 path = inst.oracle.path(u, v)
                 if len(path) > 2:
                     mid = path[1]
-                    del rtz._direct[mid][v]
+                    keep = (arrays["direct_u"] != mid) | (arrays["direct_v"] != v)
+                    assert not keep.all()
+                    for key in ("direct_u", "direct_v", "direct_port"):
+                        arrays[key] = arrays[key][keep]
+                    broken = RTZStretch3.from_arrays(inst.metric, arrays)
                     with pytest.raises(TableLookupError):
-                        rtz.route_leg(u, v)
+                        broken.route_leg(u, v)
                     return
         pytest.skip("no multi-hop direct pair found")
 

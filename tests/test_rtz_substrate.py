@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.exceptions import ConstructionError
+from repro.graph.digraph import Digraph
 from repro.graph.generators import (
     asymmetric_torus,
     bidirected_torus,
@@ -15,7 +16,7 @@ from repro.graph.generators import (
     random_strongly_connected,
 )
 from repro.graph.roundtrip import RoundtripMetric
-from repro.graph.shortest_paths import DistanceOracle, path_length
+from repro.graph.shortest_paths import DistanceOracle, dijkstra, path_length
 from repro.rtz.centers import CenterAssignment, sample_centers
 from repro.rtz.routing import RTZStretch3
 from repro.rtz.spanner import HandshakeSpanner
@@ -178,6 +179,43 @@ class TestRTZLegs:
                 if x != y:
                     cost = path_length(g, rtz.route_leg(x, y))
                     assert cost <= rtz.leg_cost_bound(x, y) + 1e-9
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            random_strongly_connected(60, rng=random.Random(21)),
+            directed_cycle(40, rng=random.Random(22)),
+            bidirected_torus(6, 6, rng=random.Random(23)),
+            asymmetric_torus(5, 7, rng=random.Random(24)),
+        ],
+        ids=["random", "cycle", "torus", "asym-torus"],
+    )
+    def test_in_tree_successors_equal_reverse_dijkstra(self, g):
+        rtz = RTZStretch3(make_metric(g), random.Random(5))
+        in_succ = rtz.to_arrays()["in_succ"]
+        for i, c in enumerate(rtz.centers):
+            succ = dijkstra(g, c, reverse=True)[1]
+            succ[c] = -1
+            assert in_succ[i].tolist() == succ
+
+    def test_tiny_weights_use_the_sequential_in_trees(self):
+        # weights below the batched engine's exact range: the python
+        # oracle and the per-landmark reverse Dijkstra take over
+        g = Digraph(12)
+        for v in range(12):
+            g.add_edge(v, (v + 1) % 12, 1e-10 * (1 + v % 3))
+            g.add_edge(v, (v + 5) % 12, 3e-10)
+        g.freeze(port_rng=random.Random(1))
+        metric = make_metric(g)
+        assert metric.oracle.engine == "python"
+        rtz = RTZStretch3(metric, random.Random(2))
+        for i, c in enumerate(rtz.centers):
+            succ = dijkstra(g, c, reverse=True)[1]
+            succ[c] = -1
+            assert rtz.to_arrays()["in_succ"][i].tolist() == succ
+        for x in range(12):
+            for y in range(12):
+                assert rtz.route_leg(x, y)[-1] == y
 
     def test_table_entries_positive_and_bounded(self):
         metric = metric_for(49, 90)

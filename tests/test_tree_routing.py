@@ -5,12 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import random_strongly_connected
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.tree_routing.fixed_port import (
+    IntervalForest,
     OutTreeRouter,
     ToRootPointers,
     TreeAddress,
@@ -103,6 +106,16 @@ class TestOutTreeRouter:
         g.freeze()
         with pytest.raises(ConstructionError):
             OutTreeRouter(g, 0, [-1, 0, 0], tree_id=0)  # edge (0,2) missing
+
+    def test_vertex_cut_off_from_root_rejected(self):
+        # 2's parent 1 has no parent and is not the root.
+        g = Digraph(3)
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(1, 2, 1.0)
+        g.add_edge(2, 0, 1.0)
+        g.freeze()
+        with pytest.raises(ConstructionError):
+            OutTreeRouter(g, 0, [-1, -1, 1], tree_id=0)
 
     def test_cyclic_parents_rejected(self):
         g = Digraph(3)
@@ -209,3 +222,117 @@ class TestToRootPointers:
         pointers = ToRootPointers(g, 0, shortest_path_in_pointers(g, 0))
         assert pointers.table_entries_at(0) == 0
         assert all(pointers.table_entries_at(v) == 1 for v in range(1, 10))
+
+
+# ----------------------------------------------------------------------
+# array numbering == a recursive reference DFS
+# ----------------------------------------------------------------------
+def reference_numbering(root, parents):
+    """Preorder numbers, interval ends and sorted children of the tree
+    rooted at ``root`` (children visited in ascending vertex order)."""
+    children = {}
+    for v, p in enumerate(parents):
+        if v != root and p >= 0:
+            children.setdefault(p, []).append(v)
+    dfs, end = {}, {}
+
+    def visit(v):
+        dfs[v] = len(dfs)
+        for c in sorted(children.get(v, [])):
+            visit(c)
+        end[v] = len(dfs)
+
+    visit(root)
+    return dfs, end, children
+
+
+@st.composite
+def rooted_trees(draw, n):
+    """One tree over a random member subset of ``0..n-1``: a path of
+    depth ``|members| - 1``, a star, or random attachment; vertices
+    outside the subset have parent -1."""
+    order = draw(st.permutations(range(n)))
+    members = order[: draw(st.integers(1, n))]
+    shape = draw(st.sampled_from(("path", "star", "random")))
+    parents = [-1] * n
+    for i, v in enumerate(members[1:], start=1):
+        if shape == "path":
+            parents[v] = members[i - 1]
+        elif shape == "star":
+            parents[v] = members[0]
+        else:
+            parents[v] = members[draw(st.integers(0, i - 1))]
+    return members[0], parents
+
+
+@st.composite
+def forests(draw):
+    n = draw(st.integers(1, 40))
+    trees = draw(st.lists(rooted_trees(n), min_size=1, max_size=4))
+    return n, trees
+
+
+def _graph_with_tree_edges(n, trees, seed):
+    g = Digraph(n)
+    edges = {(p, v) for _root, parents in trees for v, p in enumerate(parents) if p >= 0}
+    for p, v in sorted(edges):
+        g.add_edge(p, v, 1.0)
+    return g.freeze(port_rng=random.Random(seed))
+
+
+def _assert_matches_reference(g, forest, t, root, parents):
+    dfs, end, children = reference_numbering(root, parents)
+    expected = [dfs.get(v, -1) for v in range(g.n)]
+    assert forest.dfs[t].tolist() == expected
+    for v in range(g.n):
+        lo, hi = forest.row_ptr[t * g.n + v : t * g.n + v + 2]
+        rows = list(zip(
+            forest.row_child[lo:hi].tolist(), forest.row_lo[lo:hi].tolist(),
+            forest.row_hi[lo:hi].tolist(), forest.row_port[lo:hi].tolist(),
+        ))
+        assert rows == [
+            (c, dfs[c], end[c], g.port_of(v, c)) for c in sorted(children.get(v, []))
+        ]
+
+
+class TestArrayNumbering:
+    @settings(max_examples=40, deadline=None)
+    @given(forests(), st.integers(0, 2**16))
+    def test_forest_equals_reference_dfs(self, case, seed):
+        n, trees = case
+        g = _graph_with_tree_edges(n, trees, seed)
+        forest = IntervalForest(g, [r for r, _ in trees], [p for _, p in trees])
+        for t, (root, parents) in enumerate(trees):
+            _assert_matches_reference(g, forest, t, root, parents)
+
+    @settings(max_examples=40, deadline=None)
+    @given(forests(), st.integers(0, 2**16))
+    def test_single_tree_router_equals_reference_dfs(self, case, seed):
+        n, trees = case
+        root, parents = trees[0]
+        g = _graph_with_tree_edges(n, trees[:1], seed)
+        tree = OutTreeRouter(g, root, parents, tree_id=5)
+        _assert_matches_reference(g, tree, 0, root, parents)
+        dfs, _end, _children = reference_numbering(root, parents)
+        assert tree.members() == sorted(dfs)
+        for v, number in dfs.items():
+            assert tree.address_of(v) == TreeAddress(5, number)
+            path = [v]
+            while path[-1] != root:
+                path.append(parents[path[-1]])
+            assert tree.route(root, v) == path[::-1]
+
+    def test_deep_path_and_wide_star(self):
+        n = 300
+        path = [-1] + list(range(n - 1))
+        star = [-1] + [0] * (n - 1)
+        g = _graph_with_tree_edges(n, [(0, path), (0, star)], 1)
+        forest = IntervalForest(g, [0, 0], [path, star])
+        assert forest.dfs[0].tolist() == list(range(n))
+        assert forest.dfs[1].tolist() == list(range(n))
+        path_rows = slice(forest.row_ptr[0], forest.row_ptr[n])
+        assert forest.row_lo[path_rows].tolist() == list(range(1, n))
+        assert forest.row_hi[path_rows].tolist() == [n] * (n - 1)
+        star_rows = slice(forest.row_ptr[n], forest.row_ptr[n + 1])
+        assert forest.row_lo[star_rows].tolist() == list(range(1, n))
+        assert forest.row_hi[star_rows].tolist() == list(range(2, n + 1))
