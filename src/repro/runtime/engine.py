@@ -412,11 +412,6 @@ class LandmarkTables(SubstrateStepTables):
         )[0]
 
 
-def compile_landmark_tables(substrate) -> LandmarkTables:
-    """The blocked family of :func:`compile_substrate_tables`."""
-    return compile_substrate_tables(substrate, "blocked")
-
-
 def _pack_pair_table(
     keys: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -54,7 +54,6 @@ from repro.runtime.engine import (
     LandmarkTables,
     Segment,
     compile_blocked_next_hop,
-    compile_landmark_tables,
     compile_substrate_tables,
     constant_bits,
     resolve_table_family,
@@ -386,10 +385,10 @@ def test_landmark_tables_store_round_trip(net):
         store = ArtifactStore(root)
         with store_override(store):
             substrate.__dict__.pop("_compiled_landmark_tables", None)
-            built = compile_landmark_tables(substrate)
+            built = compile_substrate_tables(substrate, "blocked")
             assert store.puts == 1
             substrate.__dict__.pop("_compiled_landmark_tables", None)
-            rehydrated = compile_landmark_tables(substrate)
+            rehydrated = compile_substrate_tables(substrate, "blocked")
             assert store.puts == 1  # served from the store, not rebuilt
     substrate.__dict__.pop("_compiled_landmark_tables", None)
     assert rehydrated is not built
@@ -465,7 +464,7 @@ def test_landmark_tables_are_subquadratic(net):
     big = Network.from_family("random", 128, seed=7)
     scheme = big.build_scheme("stretch6")
     scheme.rtz.__dict__.pop("_compiled_landmark_tables", None)
-    tables = compile_landmark_tables(scheme.rtz)
+    tables = compile_substrate_tables(scheme.rtz, "blocked")
     assert isinstance(tables, LandmarkTables)
     n = big.n
     assert tables.nbytes() < 4 * n * n
