@@ -222,7 +222,7 @@ def _dump_oracle(oracle) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
     return (
         {
             "d": oracle.d_matrix,
-            "parent": np.asarray(oracle._parent, dtype=np.int32),
+            "parent": oracle._parent_rows,
         },
         {"engine": oracle.engine},
     )

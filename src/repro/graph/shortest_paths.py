@@ -38,7 +38,7 @@ import heapq
 import math
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -215,11 +215,10 @@ class DistanceOracle:
                 )
             self._d = d
             self._parent: List[List[int]] = pmat.tolist()
-            self._parent_rows: Optional[np.ndarray] = pmat.astype(np.int32)
+            self._parent_rows = pmat.astype(np.int32)
         else:
             self._d = np.empty((n, n), dtype=np.float64)
             self._parent = []
-            self._parent_rows = None
             for s in range(n):
                 dist, parent = dijkstra(g, s)
                 if any(x == INF for x in dist):
@@ -228,6 +227,7 @@ class DistanceOracle:
                     )
                 self._d[s, :] = dist
                 self._parent.append(parent)
+            self._parent_rows = np.asarray(self._parent, dtype=np.int32)
         self._r = self._d + self._d.T
         if g.frozen:
             _ORACLE_CACHE[g] = weakref.ref(self)
@@ -349,9 +349,7 @@ class DistanceOracle:
         is the out-tree rooted at ``s``; freshly allocated).  This is
         the array form the incremental repair protocol
         (:mod:`repro.graph.repair`) edits row-wise."""
-        if self._parent_rows is not None:
-            return self._parent_rows.astype(np.int64)
-        return np.asarray(self._parent, dtype=np.int64)
+        return self._parent_rows.astype(np.int64)
 
     def cached_first_hops(self) -> "np.ndarray | None":
         """The memoized dense first-hop matrix, or ``None`` when
@@ -425,11 +423,7 @@ class DistanceOracle:
         bit-identical to the corresponding dense slice)."""
         from repro.graph.blocked import first_hops_from_parents
 
-        if self._parent_rows is not None:
-            return first_hops_from_parents(self._parent_rows[lo:hi], lo)
-        return first_hops_from_parents(
-            np.asarray(self._parent[lo:hi], dtype=np.int32), lo
-        )
+        return first_hops_from_parents(self._parent_rows[lo:hi], lo)
 
     def _first_hop_store_key(self):
         """``(store, key)`` for the persisted first-hop matrix, or

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -81,6 +82,9 @@ class RTZStretch3:
       sorted by ``(u, v)``: the port of the canonical first hop;
     * the landmark out-trees, one :class:`IntervalForest` over the
       oracle's canonical parent rows (re-derived, never stored).
+
+    Per-hop forwarding (:meth:`leg_step`) reads list copies of these
+    arrays, made on its first call.
 
     Args:
         metric: roundtrip metric of the graph.
@@ -136,6 +140,7 @@ class RTZStretch3:
         if direct_port is None:
             direct_port = g.ports_of(direct_u, direct_next)
         self._metric = metric
+        self._n = n
         self.assignment = assignment
         centers = assignment.centers
         self._center_index: Dict[int, int] = {c: i for i, c in enumerate(centers)}
@@ -147,6 +152,7 @@ class RTZStretch3:
         self._direct_next = direct_next
         self._direct_keys = direct_u * n + direct_v
         self._entries: Optional[np.ndarray] = None
+        self._hop_lists: Optional[Tuple[List[int], List[int], List[List[int]]]] = None
         home = [assignment.home_center(v) for v in range(n)]
         self._home_tree = np.array([self._center_index[c] for c in home])
         dfs = self._out.dfs[self._home_tree, np.arange(n)].tolist()
@@ -171,12 +177,27 @@ class RTZStretch3:
         the TINN dictionary layer."""
         return self._labels[v]
 
+    def _make_hop_lists(self) -> Tuple[List[int], List[int], List[List[int]]]:
+        """List copies of the tables for per-hop lookups, made on first
+        use: the sorted direct keys and their ports, and each landmark's
+        in-pointer port per vertex (``-1`` where there is none)."""
+        live = self._in_succ >= 0
+        in_port = np.full(self._in_succ.shape, -1, dtype=np.int64)
+        in_port[live] = self._metric.oracle.graph.ports_of(
+            np.nonzero(live)[1], self._in_succ[live]
+        )
+        self._hop_lists = (
+            self._direct_keys.tolist(), self._direct_port.tolist(),
+            in_port.tolist(),
+        )
+        return self._hop_lists
+
     def _direct_row(self, u: int, v: int) -> int:
         """Index of ``u``'s direct row for ``v``, or -1."""
-        key = u * self._metric.n + v
-        row = int(np.searchsorted(self._direct_keys, key))
-        hit = row < len(self._direct_keys) and self._direct_keys[row] == key
-        return row if hit else -1
+        keys = (self._hop_lists or self._make_hop_lists())[0]
+        key = u * self._n + v
+        row = bisect_left(keys, key)
+        return row if row < len(keys) and keys[row] == key else -1
 
     def has_direct(self, u: int, v: int) -> bool:
         """Whether ``u`` stores a direct next-hop for ``v``."""
@@ -185,9 +206,9 @@ class RTZStretch3:
     # ------------------------------------------------------------------
     # compiled-table inputs (array reads; see also to_arrays)
     # ------------------------------------------------------------------
-    def direct_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(u, v, next_vertex)`` per direct row, sorted by ``(u, v)``."""
-        return self._direct_u, self._direct_v, self._direct_next
+    def direct_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(u * n + v, next_vertex)`` per direct row, keys ascending."""
+        return self._direct_keys, self._direct_next
 
     def down_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(p, v, x)`` for every edge ``p -> x`` on the out-tree path
@@ -220,7 +241,7 @@ class RTZStretch3:
     # ------------------------------------------------------------------
     def begin_leg(self, at: int, label: R3Label) -> str:
         """Choose the leg mode at the leg's first vertex."""
-        if at == label.dest or self.has_direct(at, label.dest):
+        if at == label.dest or self._direct_row(at, label.dest) >= 0:
             return DIRECT
         if at == label.center:
             return DOWN_TREE
@@ -254,17 +275,18 @@ class RTZStretch3:
                     f"direct entry for {label.dest} missing at {at} "
                     "(cluster closure violated?)"
                 )
-            return int(self._direct_port[row]), DIRECT
+            return self._hop_lists[1][row], DIRECT
         if mode == TO_CENTER:
             if at == label.center:
                 mode = DOWN_TREE
             else:
-                succ = int(self._in_succ[self._center_index[label.center], at])
-                if succ < 0:
+                in_port = (self._hop_lists or self._make_hop_lists())[2]
+                port = in_port[self._center_index[label.center]][at]
+                if port < 0:
                     raise TableLookupError(
                         f"vertex {at} has no pointer toward root {label.center}"
                     )
-                return self._metric.oracle.graph.port_of(at, succ), TO_CENTER
+                return port, TO_CENTER
         if mode == DOWN_TREE:
             tree = self._center_index[label.center]
             if label.addr.tree_id != tree:

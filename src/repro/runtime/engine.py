@@ -284,18 +284,20 @@ class SubstrateStepTables(StepTables):
 
     @classmethod
     def from_substrate(cls, substrate) -> "SubstrateStepTables":
-        """Scatter the landmark-factored pair tables into dense
+        """Scatter the substrate's direct and down rows into dense
         matrices (pair key ``u * n + v`` is the flat index of
         ``[u, v]``)."""
-        pairs = LandmarkTables.from_substrate(substrate)
-        n = pairs.n
+        n = substrate.metric.n
+        direct_keys, direct_hop = substrate.direct_table()
         direct_next = np.full((n, n), -1, dtype=np.int32)
-        direct_next.flat[pairs.direct_keys] = pairs.direct_next
+        direct_next.flat[direct_keys] = direct_hop
+        p, w, x = substrate.down_table()
         down_next = np.full((n, n), -1, dtype=np.int32)
-        down_next.flat[pairs.down_keys] = pairs.down_next
+        down_next.flat[p * n + w] = x
+        up_next, center_of, center_idx = _landmark_columns(substrate)
         return cls(
-            direct_next, pairs.up_next, down_next,
-            pairs.center_of, pairs.center_idx, direct_next >= 0,
+            direct_next, up_next, down_next, center_of, center_idx,
+            direct_next >= 0,
         )
 
     def _direct_found(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -375,13 +377,16 @@ class LandmarkTables(SubstrateStepTables):
 
     @classmethod
     def from_substrate(cls, substrate) -> "LandmarkTables":
-        """Sort the substrate's table rows into pair tables."""
+        """Take the substrate's direct rows, whose keys are already
+        sorted, and sort its down rows into a pair table."""
         n = substrate.metric.n
-        u, v, nxt = substrate.direct_table()
+        direct_keys, direct_hop = substrate.direct_table()
         p, w, x = substrate.down_table()
+        down_keys = p * n + w
+        order = np.argsort(down_keys)  # unique keys: the order is canonical
         return cls(
-            *_pack_pair_table(u * n + v, nxt),
-            *_pack_pair_table(p * n + w, x),
+            direct_keys, direct_hop.astype(np.int32),
+            down_keys[order], x[order].astype(np.int32),
             *_landmark_columns(substrate),
         )
 
@@ -410,22 +415,6 @@ class LandmarkTables(SubstrateStepTables):
         return sorted_lookup(
             self.down_keys, self.down_next, self._pairs(at, target)
         )[0]
-
-
-def _pack_pair_table(
-    keys: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort ``key -> next_vertex`` rows into aligned lookup arrays.
-
-    Keys are unique by construction (one entry per table slot), so the
-    sorted form is canonical — store round-trips rehydrate the exact
-    same bytes.
-    """
-    order = np.argsort(keys, kind="stable")
-    return (
-        np.ascontiguousarray(keys[order], dtype=np.int64),
-        np.ascontiguousarray(values[order], dtype=np.int32),
-    )
 
 
 def _landmark_columns(substrate) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -35,6 +35,7 @@ paths into the root.  :class:`DoubleTreeRouter` in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -143,10 +144,26 @@ class IntervalForest:
         self.row_key = key
         self.row_child = cv
         self.row_port = ports
+        self._lists = None
+
+    def _make_lists(self):
+        """List copies of the tables for per-hop lookups, made on first
+        use: list indexing and :func:`bisect.bisect_right` cost a
+        fraction of NumPy's scalar calls."""
+        self._lists = (
+            self.dfs.ravel().tolist(), self.row_ptr.tolist(),
+            self.row_lo.tolist(), self.row_hi.tolist(), self.row_port.tolist(),
+        )
+        return self._lists
+
+    def number(self, v: int, t: int = 0) -> int:
+        """``v``'s preorder number in tree ``t``, ``-1`` off the tree."""
+        dfs = (self._lists or self._make_lists())[0]
+        return dfs[t * self.n + v] if 0 <= v < self.n else -1
 
     def contains(self, v: int, t: int = 0) -> bool:
         """Whether ``v`` is in tree ``t``."""
-        return 0 <= v < self.n and bool(self.dfs[t, v] >= 0)
+        return self.number(v, t) >= 0
 
     def port_toward(self, at: int, target: int, t: int = 0) -> Optional[int]:
         """Interval-routing decision at ``at`` toward the node numbered
@@ -157,14 +174,16 @@ class IntervalForest:
                 is not in its subtree (interval routing can only move
                 *down* an out-tree).
         """
-        if not self.contains(at, t):
+        dfs, row_ptr, row_lo, row_hi, row_port = self._lists or self._make_lists()
+        slot = t * self.n + at
+        if not 0 <= at < self.n or dfs[slot] < 0:
             raise TableLookupError(f"vertex {at} is not in tree {t}")
-        if target == self.dfs[t, at]:
+        if target == dfs[slot]:
             return None
-        lo, hi = self.row_ptr[t * self.n + at : t * self.n + at + 2]
-        row = lo + int(np.searchsorted(self.row_lo[lo:hi], target, "right")) - 1
-        if row >= lo and target < self.row_hi[row]:
-            return int(self.row_port[row])
+        lo = row_ptr[slot]
+        row = bisect_right(row_lo, target, lo, row_ptr[slot + 1]) - 1
+        if row >= lo and target < row_hi[row]:
+            return row_port[row]
         raise TableLookupError(
             f"target dfs {target} not under vertex {at} in tree {t}"
         )
@@ -177,17 +196,19 @@ class IntervalForest:
 
 
 def _check_rooted(parents: np.ndarray, roots: np.ndarray) -> None:
-    """Raise unless every vertex with a parent reaches its tree's root:
-    after ``ceil(log2 n)`` pointer-jumping squarings each vertex points
-    at the end of its (shorter than ``n``) parent chain, or at a cycle
-    vertex, the only kind that is not a fixed point."""
+    """Raise unless every vertex with a parent reaches its tree's root.
+
+    After ``ceil(log2 n)`` pointer-jumping squarings each vertex points
+    ``n`` or more parent steps ahead, past any acyclic chain's ``n - 1``
+    edges: at the parentless end of its chain, or, when the chain runs
+    into a cycle, at a vertex that still has a parent."""
     num, n = parents.shape
     base = np.arange(num * n).reshape(num, n)
     anc = np.where(parents >= 0, base - np.arange(n) + parents, base).ravel()
     for _ in range(max(1, (n - 1).bit_length())):
         anc = anc[anc]
     linked = (parents >= 0).ravel()
-    if (linked & (anc[anc] != anc)).any():
+    if (linked & linked[anc]).any():
         raise ConstructionError("parent structure contains a cycle")
     if (linked & (anc != np.repeat(base[:, 0] + roots, n))).any():
         raise ConstructionError("parent structure is disconnected from root")
@@ -222,9 +243,10 @@ class OutTreeRouter(IntervalForest):
 
     def address_of(self, v: int) -> TreeAddress:
         """The routing address of tree member ``v``."""
-        if not self.contains(v):
+        dfs = self.number(v)
+        if dfs < 0:
             raise TableLookupError(f"vertex {v} is not in tree {self.tree_id}")
-        return TreeAddress(self.tree_id, int(self.dfs[0, v]))
+        return TreeAddress(self.tree_id, dfs)
 
     def next_port(self, at: int, target: TreeAddress) -> Optional[int]:
         """Forwarding decision at ``at`` toward ``target``: the fixed

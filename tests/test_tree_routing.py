@@ -104,7 +104,7 @@ class TestOutTreeRouter:
         g.add_edge(1, 2, 1.0)
         g.add_edge(2, 0, 1.0)
         g.freeze()
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="not present"):
             OutTreeRouter(g, 0, [-1, 0, 0], tree_id=0)  # edge (0,2) missing
 
     def test_vertex_cut_off_from_root_rejected(self):
@@ -114,7 +114,7 @@ class TestOutTreeRouter:
         g.add_edge(1, 2, 1.0)
         g.add_edge(2, 0, 1.0)
         g.freeze()
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="disconnected"):
             OutTreeRouter(g, 0, [-1, -1, 1], tree_id=0)
 
     def test_cyclic_parents_rejected(self):
@@ -124,8 +124,29 @@ class TestOutTreeRouter:
         g.add_edge(2, 1, 1.0)
         g.add_edge(1, 0, 1.0)
         g.freeze()
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="cycle"):
             OutTreeRouter(g, 0, [-1, 2, 1], tree_id=0)
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 8])
+    def test_cycles_of_every_length_rejected(self, length):
+        # Vertices 1..length form a cycle, with a tail hanging off it;
+        # power-of-two lengths map back onto themselves under pointer
+        # jumping and must still be reported as cycles.
+        n = 12
+        g = Digraph(n)
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    g.add_edge(u, v, 1.0)
+        g.freeze()
+        parents = [-1] * n
+        for i in range(1, length + 1):
+            parents[i] = i % length + 1
+        parents[length + 1] = 1
+        with pytest.raises(ConstructionError, match="cycle"):
+            OutTreeRouter(g, 0, parents, tree_id=0)
+        with pytest.raises(ConstructionError, match="cycle"):
+            IntervalForest(g, [0, 0], [[-1, 0] + [0] * (n - 2), parents])
 
     def test_members_listing(self):
         g = random_strongly_connected(12, rng=random.Random(6))
