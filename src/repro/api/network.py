@@ -34,7 +34,7 @@ from repro.api.stats import ArtifactCacheStats, NetworkStats, RepairStats
 from repro.exceptions import GraphError
 from repro.graph.delta import GraphDelta
 from repro.graph.digraph import Digraph
-from repro.graph.generators import standard_families
+from repro.graph.generators import family_graph
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.hashing import HashedNaming
@@ -148,8 +148,9 @@ class Network:
         """Build a network over one of the standard graph families.
 
         Args:
-            family: family name (``random`` / ``cycle`` / ``torus`` /
-                ``asym-torus`` / ``dht`` / ``layered`` / ``scale-free``).
+            family: family name (one of
+                :data:`repro.graph.generators.FAMILY_NAMES`; only that
+                family's graph is generated).
             n: approximate graph size (grid families round).
             seed: master seed (also seeds the generator).
             engine: distance-oracle engine.
@@ -159,14 +160,9 @@ class Network:
         Raises:
             GraphError: for an unknown family (choices listed).
         """
-        families = standard_families(n, seed=seed)
-        if family not in families:
-            raise GraphError(
-                f"unknown family {family!r}; choose from {sorted(families)}"
-            )
         return cls(
-            families[family], seed=seed, engine=engine, store=store,
-            tables=tables,
+            family_graph(family, n, seed=seed), seed=seed, engine=engine,
+            store=store, tables=tables,
         )
 
     # ------------------------------------------------------------------
@@ -345,11 +341,16 @@ class Network:
           injected into the successor's cache.  Otherwise the oracle is
           left to the ordinary keyed build path — which still reuses
           unchanged store artifacts by the *new* graph's content hash.
+        * **Metric** — when the oracle was repaired and this network's
+          metric is in memory, the successor's metric is this one's
+          :meth:`~repro.graph.roundtrip.RoundtripMetric.successor`: its
+          ``Init_v`` order matrix starts from a copy of this one's and
+          re-sorts only the rows whose distances moved.
         * **Namings** — the adversarial naming and any hashed namings
           are pure functions of ``(n, seed)``; when the delta preserves
           ``n`` they are carried over verbatim (the TINN promise:
           names survive topology change).
-        * **Everything else** (metric, substrates, compiled tables) is
+        * **Everything else** (substrates, schemes, compiled tables) is
           graph-dependent and rebuilds lazily, keyed by the new graph's
           content hash, reusing store entries where the graph hash
           matches (e.g. a delta that round-trips back to a seen graph).
@@ -397,10 +398,13 @@ class Network:
         entries_changed = 0
         old_oracle = self._cache.get("oracle")
         if old_oracle is not None:
-            repaired = repair_oracle(old_oracle, delta)
+            repaired = repair_oracle(old_oracle, delta, new_graph)
             if repaired is not None:
                 new_oracle, result = repaired
                 child._cache["oracle"] = new_oracle
+                old_metric = self._cache.get("metric")
+                if old_metric is not None:
+                    child._cache["metric"] = old_metric.successor(new_oracle)
                 incremental = 1
                 rows_recomputed = result.report.rows_recomputed
                 rows_reused = result.report.rows_reused

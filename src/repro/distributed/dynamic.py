@@ -142,14 +142,13 @@ class DynamicMaintenance:
         """
         n = self._g.n
         nodes = self._prep.nodes
-        result = repair_apsp(self._g, self._d, self._parent, delta)
+        new_g = self._g.apply_delta(delta)
+        result = repair_apsp(self._g, self._d, self._parent, delta, new_g)
         if result is not None:
-            new_g = result.graph
             d_new = result.d
             p_new = result.parent
             rows_recomputed = result.report.rows_recomputed
         else:
-            new_g = self._g.apply_delta(delta)
             oracle = DistanceOracle(new_g)
             d_new = np.array(oracle.d_matrix, dtype=np.float64)
             p_new = oracle.parent_matrix()

@@ -23,6 +23,7 @@ distance oracle has always had).
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 
 import numpy as np
 
@@ -143,32 +144,18 @@ class CSRGraph:
     @classmethod
     def _build(cls, g: Digraph) -> "CSRGraph":
         n = g.n
-        out_deg = np.empty(n + 1, dtype=np.int64)
-        out_deg[0] = 0
-        in_deg = np.empty(n + 1, dtype=np.int64)
-        in_deg[0] = 0
-        for u in range(n):
-            out_deg[u + 1] = g.out_degree(u)
-            in_deg[u + 1] = g.in_degree(u)
-        out_indptr = np.cumsum(out_deg)
-        in_indptr = np.cumsum(in_deg)
-        m = int(out_indptr[-1])
-        out_heads = np.empty(m, dtype=np.int64)
-        out_weights = np.empty(m, dtype=np.float64)
-        in_tails = np.empty(m, dtype=np.int64)
-        in_weights = np.empty(m, dtype=np.float64)
-        for u in range(n):
-            base = out_indptr[u]
-            for i, (head, w) in enumerate(g.out_neighbors(u)):
-                out_heads[base + i] = head
-                out_weights[base + i] = w
-            base = in_indptr[u]
-            for i, (tail, w) in enumerate(g.in_neighbors(u)):
-                in_tails[base + i] = tail
-                in_weights[base + i] = w
+
+        def flatten(lists):
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, lists), np.int64, n), out=indptr[1:])
+            flat = np.array(list(chain.from_iterable(lists)), dtype=np.float64)
+            flat = flat.reshape(-1, 2)
+            return indptr, flat[:, 0].astype(np.int64), flat[:, 1].copy()
+
         return cls(
-            n, out_indptr, out_heads, out_weights,
-            in_indptr, in_tails, in_weights,
+            n,
+            *flatten([g.out_neighbors(u) for u in range(n)]),
+            *flatten([g.in_neighbors(u) for u in range(n)]),
         )
 
     # ------------------------------------------------------------------

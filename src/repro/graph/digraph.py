@@ -349,6 +349,17 @@ class Digraph:
         A departure shifts vertex ids above the departed node down by
         one (ports untouched).
 
+        Ops fold one at a time, and an edge op shares every per-vertex
+        container the edge does not touch with its predecessor — frozen
+        graphs are immutable and their accessors hand out copies.  It
+        copies only the tail's out-adjacency and port maps and the
+        head's in-adjacency, plus flat copies of the edge list and edge
+        set with the one entry patched: O(n + m) C-level work instead of
+        an edge-by-edge rebuild.  A new in-edge goes to the end of its
+        head's in-neighbour list.  An arrival is a shared graph with one
+        more vertex plus a link-up per edge; a departure renumbers
+        vertices and rebuilds through :meth:`from_port_edges`.
+
         Raises:
             GraphError: when an op is inconsistent with the graph it
                 meets (missing/duplicate edge, vertex out of range,
@@ -359,91 +370,109 @@ class Digraph:
             raise GraphError(
                 f"expected a GraphDelta, got {type(delta).__name__}"
             )
-        n = self._n
-        # Working state: per-tail insertion-ordered {head: (weight, port)}.
-        adj: List[Dict[int, Tuple[float, int]]] = [
-            {head: (w, self._ports[u][head]) for (head, w) in self._succ[u]}
-            for u in range(n)
-        ]
+        g = self
+        for op in delta.ops:
+            if isinstance(op, Departure):
+                g = g._without(op.node)
+            elif isinstance(op, Arrival):
+                new = g._n
+                g = g._shared(extra=1)
+                for (head, w) in op.out_edges:
+                    g = g._edge_op(LinkUp(new, head, w))
+                for (tail, w) in op.in_edges:
+                    g = g._edge_op(LinkUp(tail, new, w))
+            else:
+                g = g._edge_op(op)
+        return g
 
-        def check(u: int) -> None:
-            if not (0 <= u < n):
-                raise GraphError(
-                    f"delta references vertex {u} out of range [0, {n})"
-                )
+    def _check_delta_vertex(self, u: int) -> None:
+        if not (0 <= u < self._n):
+            raise GraphError(
+                f"delta references vertex {u} out of range [0, {self._n})"
+            )
 
-        def insert(tail: int, head: int, weight: float) -> None:
-            check(tail)
-            check(head)
+    def _shared(self, extra: int = 0) -> "Digraph":
+        """A frozen copy holding ``self``'s per-vertex containers in
+        fresh outer lists (so one slot can be swapped out), plus
+        ``extra`` edgeless vertices."""
+        g = Digraph.__new__(Digraph)
+        g._n = self._n + extra
+        g._frozen = True
+        g._port_index = None
+        g._succ = self._succ + [[] for _ in range(extra)]
+        g._pred = self._pred + [[] for _ in range(extra)]
+        g._ports = self._ports + [{} for _ in range(extra)]
+        g._port_to_head = self._port_to_head + [{} for _ in range(extra)]
+        g._edge_set = self._edge_set
+        g._edges = self._edges
+        return g
+
+    def _edge_op(self, op: "Reweight | LinkDown | LinkUp") -> "Digraph":
+        """The successor across one edge op, sharing every untouched
+        container with ``self`` (see :meth:`apply_delta`)."""
+        tail, head = op.tail, op.head
+        self._check_delta_vertex(tail)
+        self._check_delta_vertex(head)
+        present = (tail, head) in self._edge_set
+        if isinstance(op, LinkUp):
             if tail == head:
                 raise GraphError(f"self-loops are not allowed (vertex {tail})")
-            if head in adj[tail]:
+            if present:
                 raise GraphError(f"link_up of existing edge ({tail}, {head})")
-            if weight <= 0:
-                raise GraphError(
-                    f"edge weights must be positive, got "
-                    f"w({tail},{head})={weight}"
-                )
-            used = {p for (_w, p) in adj[tail].values()}
+        elif not present:
+            kind = "reweight" if isinstance(op, Reweight) else "link_down"
+            raise GraphError(f"{kind} of missing edge ({tail}, {head})")
+        if not isinstance(op, LinkDown) and op.weight <= 0:
+            raise GraphError(
+                f"edge weights must be positive, got "
+                f"w({tail},{head})={op.weight}"
+            )
+        g = self._shared()
+        g._edge_set = set(self._edge_set)
+        g._edges = list(self._edges)
+        out = g._succ[tail] = list(self._succ[tail])
+        inn = g._pred[head] = list(self._pred[head])
+        ports = g._ports[tail] = dict(self._ports[tail])
+        to_head = g._port_to_head[tail] = dict(self._port_to_head[tail])
+        # the tail's out-edges are one contiguous run of the edge list
+        base = sum(map(len, self._succ[:tail]))
+        if isinstance(op, LinkUp):
+            weight = float(op.weight)
             port = 0
-            while port in used:
+            while port in to_head:
                 port += 1
-            adj[tail][head] = (float(weight), port)
+            g._edges.insert(base + len(out), Edge(tail, head, weight, port))
+            out.append((head, weight))
+            inn.append((tail, weight))
+            ports[head] = port
+            to_head[port] = head
+            g._edge_set.add((tail, head))
+            return g
+        i = next(i for i, (h, _w) in enumerate(out) if h == head)
+        j = next(j for j, (t, _w) in enumerate(inn) if t == tail)
+        if isinstance(op, Reweight):
+            weight = float(op.weight)
+            out[i] = (head, weight)
+            inn[j] = (tail, weight)
+            g._edges[base + i] = Edge(tail, head, weight, ports[head])
+        else:
+            del out[i], inn[j], g._edges[base + i]
+            del to_head[ports.pop(head)]
+            g._edge_set.discard((tail, head))
+        return g
 
-        for op in delta.ops:
-            if isinstance(op, Reweight):
-                check(op.tail)
-                check(op.head)
-                if op.head not in adj[op.tail]:
-                    raise GraphError(
-                        f"reweight of missing edge ({op.tail}, {op.head})"
-                    )
-                if op.weight <= 0:
-                    raise GraphError(
-                        f"edge weights must be positive, got "
-                        f"w({op.tail},{op.head})={op.weight}"
-                    )
-                _w, port = adj[op.tail][op.head]
-                adj[op.tail][op.head] = (float(op.weight), port)
-            elif isinstance(op, LinkDown):
-                check(op.tail)
-                check(op.head)
-                if op.head not in adj[op.tail]:
-                    raise GraphError(
-                        f"link_down of missing edge ({op.tail}, {op.head})"
-                    )
-                del adj[op.tail][op.head]
-            elif isinstance(op, LinkUp):
-                insert(op.tail, op.head, op.weight)
-            elif isinstance(op, Departure):
-                if n <= 1:
-                    raise GraphError("departure would leave an empty graph")
-                x = op.node
-                check(x)
-                adj = [
-                    {
-                        (h - 1 if h > x else h): wp
-                        for h, wp in adj[u].items()
-                        if h != x
-                    }
-                    for u in range(n)
-                    if u != x
-                ]
-                n -= 1
-            else:  # Arrival
-                new_id = n
-                adj.append({})
-                n += 1
-                for (head, w) in op.out_edges:
-                    insert(new_id, head, w)
-                for (tail, w) in op.in_edges:
-                    insert(tail, new_id, w)
+    def _without(self, x: int) -> "Digraph":
+        """The successor across the departure of ``x``: ids above it
+        shift down by one, surviving ports are kept."""
+        if self._n <= 1:
+            raise GraphError("departure would leave an empty graph")
+        self._check_delta_vertex(x)
         return Digraph.from_port_edges(
-            n,
+            self._n - 1,
             (
-                (u, head, w, port)
-                for u in range(n)
-                for head, (w, port) in adj[u].items()
+                (e.tail - (e.tail > x), e.head - (e.head > x), e.weight, e.port)
+                for e in self._edges
+                if x not in (e.tail, e.head)
             ),
         )
 

@@ -598,13 +598,46 @@ def bidirect(g: Digraph, rng: Optional[random.Random] = None) -> Digraph:
 
 GeneratorFn = Callable[[int, random.Random], Digraph]
 
+
+def _side(n: int) -> int:
+    return max(2, int(round(n ** 0.5)))
+
+
+#: The standard benchmark suite, name -> builder ``(n, rng)`` in
+#: registry order; the family at position ``k`` draws from
+#: ``random.Random(seed + k)``, so each builds alone bit-identically.
+_FAMILIES: Dict[str, GeneratorFn] = {
+    "random": lambda n, rng: random_strongly_connected(n, rng=rng),
+    "cycle": lambda n, rng: directed_cycle(n, rng=rng),
+    "torus": lambda n, rng: bidirected_torus(_side(n), _side(n), rng=rng),
+    "asym-torus": lambda n, rng: asymmetric_torus(_side(n), _side(n), rng=rng),
+    "dht": lambda n, rng: random_dht_overlay(n, rng=rng),
+    "layered": lambda n, rng: layered_random(max(2, n // 8), 8, rng=rng),
+    "scale-free": lambda n, rng: scale_free_directed(n, rng=rng),
+    "power-law": lambda n, rng: power_law_directed(n, rng=rng),
+    "grid-shortcuts": lambda n, rng: grid_with_shortcuts(
+        _side(n), _side(n), rng=rng
+    ),
+}
+
 #: Family names :func:`standard_families` builds, in registry order.
 #: Kept as a plain tuple so spec validation (:mod:`repro.scenarios`)
 #: can list the choices without eagerly generating nine graphs.
-FAMILY_NAMES = (
-    "random", "cycle", "torus", "asym-torus", "dht", "layered",
-    "scale-free", "power-law", "grid-shortcuts",
-)
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def family_graph(family: str, n: int, seed: int = 0) -> Digraph:
+    """One family of the benchmark suite, built alone: equal to
+    ``standard_families(n, seed)[family]`` edge for edge.
+
+    Raises:
+        GraphError: for an unknown family (choices listed).
+    """
+    if family not in _FAMILIES:
+        raise GraphError(
+            f"unknown family {family!r}; choose from {sorted(FAMILY_NAMES)}"
+        )
+    return _FAMILIES[family](n, random.Random(seed + FAMILY_NAMES.index(family)))
 
 
 def standard_families(n: int, seed: int = 0) -> Dict[str, Digraph]:
@@ -614,21 +647,7 @@ def standard_families(n: int, seed: int = 0) -> Dict[str, Digraph]:
     Returns:
         Mapping family name -> frozen digraph.
     """
-    side = max(2, int(round(n ** 0.5)))
-    layers = max(2, n // 8)
-    return {
-        "random": random_strongly_connected(n, rng=random.Random(seed)),
-        "cycle": directed_cycle(n, rng=random.Random(seed + 1)),
-        "torus": bidirected_torus(side, side, rng=random.Random(seed + 2)),
-        "asym-torus": asymmetric_torus(side, side, rng=random.Random(seed + 3)),
-        "dht": random_dht_overlay(n, rng=random.Random(seed + 4)),
-        "layered": layered_random(layers, 8, rng=random.Random(seed + 5)),
-        "scale-free": scale_free_directed(n, rng=random.Random(seed + 6)),
-        "power-law": power_law_directed(n, rng=random.Random(seed + 7)),
-        "grid-shortcuts": grid_with_shortcuts(
-            side, side, rng=random.Random(seed + 8)
-        ),
-    }
+    return {name: family_graph(name, n, seed) for name in FAMILY_NAMES}
 
 
 def verify_generator_output(g: Digraph) -> None:

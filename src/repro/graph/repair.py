@@ -41,7 +41,9 @@ These certificates are exact in the regime the vectorized engine
 already requires (:func:`~repro.graph.apsp.vectorized_engine_supported`:
 edge weights, hence distinct path-length groups, separated by far
 more than ``TIE_EPS``).  Ops apply *sequentially* through intermediate
-graphs — each step is exact, so the composition is exact.
+graphs — each step is exact, so the composition is exact.  The caller
+passes the final graph it already folded; only the graphs between the
+ops of a multi-op delta are built here.
 
 Node :class:`~repro.graph.delta.Arrival`/:class:`~repro.graph.delta.Departure`
 ops renumber rows and columns; the repair protocol does not cover
@@ -159,6 +161,7 @@ def repair_apsp(
     d: np.ndarray,
     parent: np.ndarray,
     delta: GraphDelta,
+    new_graph: Digraph,
 ) -> Optional[RepairedAPSP]:
     """Repair an all-pairs solution across ``delta``, or signal rebuild.
 
@@ -167,6 +170,8 @@ def repair_apsp(
         d: its ``(n, n)`` canonical distance matrix.
         parent: its ``(n, n)`` canonical parent matrix.
         delta: the mutation to fold in.
+        new_graph: ``graph.apply_delta(delta)``, the graph the result
+            solves.
 
     Returns:
         A :class:`RepairedAPSP` whose matrices are bit-identical to a
@@ -184,8 +189,10 @@ def repair_apsp(
     report = RepairReport(ops=len(delta.ops))
     touched_mask = np.zeros(n, dtype=bool)
     g = graph
-    for op in delta.ops:
-        g = g.apply_delta(GraphDelta((op,)))
+    last = len(delta.ops) - 1
+    for i, op in enumerate(delta.ops):
+        # intermediates only between the ops; the caller built the last
+        g = new_graph if i == last else g.apply_delta(GraphDelta((op,)))
         csr = CSRGraph.from_digraph(g)
         if not vectorized_engine_supported(csr):
             return None
@@ -209,10 +216,11 @@ def repair_apsp(
 
 
 def repair_oracle(
-    oracle: DistanceOracle, delta: GraphDelta
+    oracle: DistanceOracle, delta: GraphDelta, new_graph: Digraph
 ) -> Optional[Tuple[DistanceOracle, RepairedAPSP]]:
     """Repair a :class:`~repro.graph.shortest_paths.DistanceOracle`
-    across ``delta``.
+    across ``delta`` onto ``new_graph`` (``oracle.graph`` with ``delta``
+    applied).
 
     On success, returns the successor oracle (rehydrated via
     :meth:`DistanceOracle.from_arrays` on the new graph, so it is
@@ -229,7 +237,7 @@ def repair_oracle(
     reports such graphs through its usual errors.
     """
     result = repair_apsp(
-        oracle.graph, oracle.d_matrix, oracle.parent_matrix(), delta
+        oracle.graph, oracle.d_matrix, oracle.parent_matrix(), delta, new_graph
     )
     if result is None or np.isinf(result.d).any():
         return None

@@ -16,7 +16,8 @@ Section 2 defines, for each node ``v``, the total order ``u <_v w``:
 Sorting all of ``V`` by this key yields the sequence ``Init_v`` starting
 with ``v`` itself.  :class:`RoundtripMetric` holds every ``Init_v`` as
 one row of an ``(n, n)`` int32 order matrix, filled by row-blocked
-``np.lexsort`` calls; the paper's neighborhoods are prefixes of a row:
+stable sorts of a complex key; the paper's neighborhoods are prefixes
+of a row:
 
 * Section 2: ``N(u)`` = first ``sqrt(n)`` nodes of ``Init_u``;
 * Section 3: ``N_i(u)`` = first ``n^{i/k}`` nodes of ``Init_u``;
@@ -30,7 +31,7 @@ pass the naming's id list so the structure stays topology-independent.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +44,9 @@ class RoundtripMetric:
 
     All ``Init_v`` orders live in one ``(n, n)`` int32 order matrix
     (row ``v`` is ``Init_v``), built by :meth:`order_matrix` on first
-    use; neighborhoods are prefixes of its rows.
+    use; neighborhoods are prefixes of its rows.  A metric made by
+    :meth:`successor` across a topology change re-sorts only the rows
+    whose keys moved.
 
     Args:
         oracle: all-pairs distance oracle of the digraph.
@@ -62,6 +65,9 @@ class RoundtripMetric:
             )
         self._ids = list(ids)
         self._order: Optional[np.ndarray] = None
+        # (predecessor's order matrix, rows whose keys moved) for a
+        # successor metric, dropped once the order matrix is built
+        self._carried: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __getstate__(self):
         """Pickle without the per-process shared-substrate cache
@@ -110,25 +116,64 @@ class RoundtripMetric:
         """The read-only ``(n, n)`` int32 matrix whose row ``v`` is
         ``Init_v`` (built on first call).
 
-        Each row block is one ``np.lexsort`` over ``(d(u, v), r(v, u))``
-        with the columns pre-sorted by ID; every sort is stable, so the
-        rows equal ``sorted(range(n), key=lambda u: order_key(v, u))``.
-        Temporaries stay ``O(block * n)``.
+        Row ``v`` is one stable ``argsort`` of the complex key
+        ``r(v, u) + 1j * d(u, v)`` over the columns pre-sorted by ID.
+        NumPy orders complex numbers by real part, then imaginary part,
+        and the stable sort keeps the ID order among equal keys — so
+        the rows equal ``sorted(range(n), key=lambda u: order_key(v,
+        u))``.  Rows are sorted in blocks; temporaries stay
+        ``O(block * n)``.
+
+        A :meth:`successor` metric starts from a copy of its
+        predecessor's matrix and re-sorts only the stale rows: row
+        ``v`` reads nothing but ``d(v, .)`` and ``d(., v)``, so every
+        other row is already its own sorted order.
         """
         if self._order is None:
+            n = self.n
+            block = max(1, (1 << 16) // max(n, 1))
+            carried = self._carried  # one read: a racing caller may clear it
+            if carried is None:
+                order = np.empty((n, n), dtype=np.int32)
+                chunks = [slice(lo, lo + block) for lo in range(0, n, block)]
+            else:
+                order, stale = carried
+                order = order.copy()
+                chunks = [stale[lo:lo + block] for lo in range(0, stale.size, block)]
+            by_id = np.argsort(np.asarray(self._ids), kind="stable")
             d = self._oracle.d_matrix
             r = self._oracle.r_matrix
-            n = self.n
-            by_id = np.argsort(np.asarray(self._ids), kind="stable")
-            order = np.empty((n, n), dtype=np.int32)
-            block = max(1, (1 << 17) // max(n, 1))
-            for lo in range(0, n, block):
-                hi = min(lo + block, n)
-                keys = (d[by_id, lo:hi].T, r[lo:hi, by_id])
-                order[lo:hi] = by_id[np.lexsort(keys, axis=-1)]
+            for rows in chunks:
+                real = r[rows][:, by_id]
+                keys = np.empty(real.shape, dtype=np.complex128)
+                keys.real = real
+                keys.imag = d[:, rows][by_id].T
+                order[rows] = by_id[np.argsort(keys, axis=-1, kind="stable")]
             order.setflags(write=False)
             self._order = order
+            self._carried = None
         return self._order
+
+    def successor(self, oracle: DistanceOracle) -> "RoundtripMetric":
+        """The metric over ``oracle`` — the same vertex set after a
+        topology change — with this metric's IDs.
+
+        When this metric's order matrix is built, the successor carries
+        a reference to it plus the rows whose keys moved
+        (``d`` changed in row or column ``v``) and, on its first
+        :meth:`order_matrix` call, copies it and re-sorts only those
+        rows; it keeps no reference to this metric.
+        """
+        if oracle.n != self.n:
+            raise GraphError(
+                f"successor oracle has n={oracle.n}, metric has n={self.n}"
+            )
+        child = RoundtripMetric(oracle, self._ids)
+        if self._order is not None:
+            changed = self._oracle.d_matrix != oracle.d_matrix
+            stale = np.flatnonzero(changed.any(axis=1) | changed.any(axis=0))
+            child._carried = (self._order, stale)
+        return child
 
     def init_order(self, v: int) -> List[int]:
         """Return ``Init_v``: all vertices sorted by ``<_v``.

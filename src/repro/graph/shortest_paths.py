@@ -171,8 +171,10 @@ class DistanceOracle:
     * ``r`` — the roundtrip matrix ``r[u, v] = d[u, v] + d[v, u]``
       (Section 1.1: the minimum cost of a directed tour from ``u``
       through ``v`` back to ``u``),
-    * forward shortest-path-tree parents from every source, used to
-      extract canonical shortest paths without re-running Dijkstra.
+    * forward shortest-path-tree parents from every source, kept only
+      as one ``(n, n)`` int32 array (row ``s`` is the out-tree rooted
+      at ``s``): the path walkers read one row of it, the compiled
+      first-hop tables and the repair protocol read it whole.
 
     Args:
         g: the digraph (must be strongly connected).
@@ -214,11 +216,10 @@ class DistanceOracle:
                     f"vertex unreachable from {s}; graph must be strongly connected"
                 )
             self._d = d
-            self._parent: List[List[int]] = pmat.tolist()
             self._parent_rows = pmat.astype(np.int32)
         else:
             self._d = np.empty((n, n), dtype=np.float64)
-            self._parent = []
+            self._parent_rows = np.empty((n, n), dtype=np.int32)
             for s in range(n):
                 dist, parent = dijkstra(g, s)
                 if any(x == INF for x in dist):
@@ -226,8 +227,7 @@ class DistanceOracle:
                         f"vertex unreachable from {s}; graph must be strongly connected"
                     )
                 self._d[s, :] = dist
-                self._parent.append(parent)
-            self._parent_rows = np.asarray(self._parent, dtype=np.int32)
+                self._parent_rows[s, :] = parent
         self._r = self._d + self._d.T
         if g.frozen:
             _ORACLE_CACHE[g] = weakref.ref(self)
@@ -247,10 +247,10 @@ class DistanceOracle:
         out of a memory-mapped ``.npz`` blob, so the distance matrix is
         shared read-only between every process that loads the entry.
         The roundtrip matrix is derived with the same ``d + d.T`` the
-        constructor uses, and ``parent`` rows are converted to the
-        plain-list form the path walkers expect — a rehydrated oracle is
-        bit-identical to a fresh build (asserted in
-        ``tests/test_store.py``).
+        constructor uses, and ``parent`` is kept as the int32 array the
+        constructor keeps (no copy when it already is one) — a
+        rehydrated oracle is bit-identical to a fresh build (asserted
+        in ``tests/test_store.py``).
 
         Args:
             g: the digraph the matrices were built from.
@@ -271,7 +271,6 @@ class DistanceOracle:
         self._g = g
         self._engine = str(engine)
         self._d = d
-        self._parent = parent.tolist()
         self._parent_rows = parent.astype(np.int32, copy=False)
         self._r = self._d + self._d.T
         if g.frozen:
@@ -315,7 +314,7 @@ class DistanceOracle:
     def path(self, u: int, v: int) -> List[int]:
         """Canonical shortest path ``u -> v`` from the cached tree."""
         path = [v]
-        parent = self._parent[u]
+        parent = memoryview(self._parent_rows[u])  # indexes to ints
         while path[-1] != u:
             p = parent[path[-1]]
             if p == -1:
@@ -330,7 +329,7 @@ class DistanceOracle:
         if u == v:
             raise GraphError("next_hop undefined for u == v")
         # Walk up from v until the parent is u.
-        parent = self._parent[u]
+        parent = memoryview(self._parent_rows[u])  # indexes to ints
         x = v
         while parent[x] != u:
             x = parent[x]
@@ -342,7 +341,7 @@ class DistanceOracle:
         """Parents of the canonical shortest-path out-tree rooted at
         ``source`` (``parent[v]`` precedes ``v`` on the path
         ``source -> v``)."""
-        return list(self._parent[source])
+        return self._parent_rows[source].tolist()
 
     def parent_matrix(self) -> np.ndarray:
         """The full ``(n, n)`` int64 canonical parent matrix (row ``s``

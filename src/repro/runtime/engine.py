@@ -442,52 +442,19 @@ def compile_substrate_tables(substrate, tables: str = "dense") -> StepTables:
     The result is cached on the substrate object, so every scheme
     sharing one substrate (stretch-6, its variant, wild names, the RTZ
     baseline — deduplicated by :func:`repro.rtz.routing.shared_substrate`)
-    compiles each family exactly once.
-
-    When the artifact store is active (:func:`repro.store.default_store`)
-    the arrays are persisted keyed by ``(graph content hash, landmark
-    set)`` — a pure function of those two, so no seed enters the key —
-    and later compiles (other processes, pool shard workers rehydrating
-    a pickled scheme) memory-map them instead of rebuilding.
+    compiles each family exactly once.  The tables are not persisted:
+    compiling them from the substrate's arrays is cheaper than reading
+    them back from the artifact store.
     """
-    family, kind, attr = (
-        (LandmarkTables, "landmark-tables", "_compiled_landmark_tables")
+    family, attr = (
+        (LandmarkTables, "_compiled_landmark_tables")
         if tables == "blocked"
-        else (SubstrateStepTables, "substrate-tables", "_compiled_step_tables")
+        else (SubstrateStepTables, "_compiled_step_tables")
     )
-    cached = getattr(substrate, attr, None)
-    if cached is not None:
-        return cached
-    g: Digraph = substrate.metric.oracle.graph
-    centers = substrate.centers
-
-    from repro.store import StoreKey, default_store, graph_content_hash
-
-    store = default_store()
-    store_key = None
-    if store is not None and g.frozen:
-        store_key = StoreKey(
-            kind,
-            1,
-            {"graph": graph_content_hash(g), "centers": [int(c) for c in centers]},
-        )
-        entry = store.get(store_key)
-        if entry is not None and entry.arrays["up_next"].shape == (
-            g.n, len(centers),
-        ):
-            compiled = family(**entry.arrays)
-            setattr(substrate, attr, compiled)
-            return compiled
-    t0 = time.perf_counter()
-    compiled = family.from_substrate(substrate)
-    setattr(substrate, attr, compiled)
-    if store_key is not None:
-        store.put(
-            store_key,
-            dict(vars(compiled)),
-            meta={"centers": len(centers)},
-            build_seconds=time.perf_counter() - t0,
-        )
+    compiled = getattr(substrate, attr, None)
+    if compiled is None:
+        compiled = family.from_substrate(substrate)
+        setattr(substrate, attr, compiled)
     return compiled
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.api.registry import register_scheme
 from repro.graph.digraph import Digraph
 from repro.graph.shortest_paths import DistanceOracle
@@ -38,14 +40,14 @@ class ShortestPathScheme(RoutingScheme):
         self._oracle = oracle
         self._naming = naming
         g = oracle.graph
-        # table[u][dest_name] = port
-        self._table: List[Dict[int, int]] = [dict() for _ in range(g.n)]
+        names = [naming.name_of(t) for t in range(g.n)]
+        # table[u][dest_name] = port, from u's row of first hops
+        self._table: List[Dict[int, int]] = []
         for u in range(g.n):
-            for t in range(g.n):
-                if u == t:
-                    continue
-                nxt = oracle.next_hop(u, t)
-                self._table[u][naming.name_of(t)] = g.port_of(u, nxt)
+            targets = np.flatnonzero(np.arange(g.n) != u)
+            hops = oracle.first_hop_block(u, u + 1)[0, targets]
+            ports = g.ports_of(np.full(targets.size, u), hops).tolist()
+            self._table.append(dict(zip([names[t] for t in targets.tolist()], ports)))
 
     @property
     def graph(self) -> Digraph:
@@ -87,8 +89,6 @@ class ShortestPathScheme(RoutingScheme):
         the monolithic first-hop matrix; ``tables="blocked"`` streams
         per-source row blocks (:class:`BlockedNextHop`) so peak memory
         never reaches n²."""
-        import numpy as np
-
         from repro.runtime.engine import (
             CompiledRoutes,
             DenseNextHop,

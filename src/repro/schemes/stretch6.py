@@ -23,8 +23,9 @@ header), each bounded by ``r + d``, giving stretch 6 (Lemma 3).
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import chain
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,9 +94,10 @@ class StretchSixScheme(RoutingScheme):
         substrate: Optional[RTZStretch3],
         blocks_per_node: Optional[int],
     ) -> None:
-        """Build the substrate, the dictionary distribution and storage
-        items (1)-(3), keyed by :meth:`name_of` over the slots of
-        :meth:`_slot_vertices`."""
+        """Build the substrate, the dictionary distribution and the
+        arrays behind storage items (1)-(3); the name-keyed tables the
+        Python forwarding path reads (:attr:`_near`, :attr:`_dict`) are
+        built on its first use."""
         rng = rng or random.Random(0)
         n = metric.n
         self._metric = metric
@@ -106,29 +108,40 @@ class StretchSixScheme(RoutingScheme):
         self.distribution = BlockDistribution(
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
-        names = [self.name_of(v) for v in range(n)]
-        labels = [self.rtz.label(v) for v in range(n)]
-        # (1) neighborhood labels: per node, name -> R3 label.
-        near = metric.order_matrix()[:, : metric.sqrt_size()]
-        self._near: List[Dict[int, R3Label]] = [
-            {names[v]: labels[v] for v in row} for row in near.tolist()
-        ]
         # (2) block pointers: (n, num_blocks), block index -> the
         # dictionary vertex serving it.
         self._block_ptr = self.distribution.block_pointers()
-        # (3) dictionary slices: per node, name -> R3 label for every
-        # vertex of every slot in every stored block.
+        # (3) the vertices of every slot of each block; blocks are
+        # disjoint, so a node's slice holds sum |block| entries.
         self._block_vertices = [
             np.array([x for j in members for x in self._slot_vertices(j)], np.int64)
             for members in map(self.blocks.block_members, range(self.blocks.num_blocks()))
         ]
+        self._block_sizes = [verts.size for verts in self._block_vertices]
+
+    @cached_property
+    def _named_labels(self) -> List[Tuple[int, R3Label]]:
+        """``(name, R3 label)`` per vertex."""
+        return [(self.name_of(v), self.rtz.label(v)) for v in range(self._metric.n)]
+
+    @cached_property
+    def _near(self) -> List[Dict[int, R3Label]]:
+        """(1) neighborhood labels: per node, name -> R3 label."""
+        named = self._named_labels
+        near = self._metric.order_matrix()[:, : self._metric.sqrt_size()]
+        return [dict(named[v] for v in row) for row in near.tolist()]
+
+    @cached_property
+    def _dict(self) -> List[Dict[int, R3Label]]:
+        """(3) dictionary slices: per node, name -> R3 label for every
+        vertex of every slot in every stored block."""
+        named = self._named_labels
         by_block = [
-            [(names[x], labels[x]) for x in verts.tolist()]
-            for verts in self._block_vertices
+            [named[x] for x in verts.tolist()] for verts in self._block_vertices
         ]
-        self._dict: List[Dict[int, R3Label]] = [
-            dict(chain.from_iterable(by_block[b] for b in self.distribution.sets[u]))
-            for u in range(n)
+        return [
+            dict(chain.from_iterable(by_block[b] for b in blocks))
+            for blocks in self.distribution.sets
         ]
 
     # ------------------------------------------------------------------
@@ -270,9 +283,9 @@ class StretchSixScheme(RoutingScheme):
     # ------------------------------------------------------------------
     def table_entries(self, vertex: int) -> int:
         return (
-            len(self._near[vertex])
+            self._metric.sqrt_size()
             + len(self._block_ptr[vertex])
-            + len(self._dict[vertex])
+            + sum(self._block_sizes[b] for b in self.distribution.sets[vertex])
             + self.rtz.table_entries(vertex)
         )
 

@@ -27,8 +27,14 @@ from repro.api import (
     scheme_names,
 )
 from repro.exceptions import ConstructionError, GraphError
+from repro.graph import generators as gen
 from repro.graph.digraph import Digraph
-from repro.graph.generators import bidirected_torus, random_strongly_connected
+from repro.graph.generators import (
+    FAMILY_NAMES,
+    bidirected_torus,
+    random_strongly_connected,
+    standard_families,
+)
 from repro.rtz.routing import shared_substrate
 
 
@@ -168,6 +174,36 @@ class TestNetwork:
         with pytest.raises(GraphError) as exc:
             Network.from_family("nope", 12)
         assert "cycle" in str(exc.value)
+
+    @pytest.mark.parametrize("n", [40, 130])
+    def test_from_family_builds_the_suite_graph(self, n):
+        """Building one family alone is edge-for-edge the graph the
+        whole suite builds under that name, which is the family's
+        generator seeded with ``seed + k`` for the ``k``-th family."""
+        seed = 3
+        side = max(2, int(round(n ** 0.5)))
+        reference = {
+            "random": lambda rng: gen.random_strongly_connected(n, rng=rng),
+            "cycle": lambda rng: gen.directed_cycle(n, rng=rng),
+            "torus": lambda rng: gen.bidirected_torus(side, side, rng=rng),
+            "asym-torus": lambda rng: gen.asymmetric_torus(side, side, rng=rng),
+            "dht": lambda rng: gen.random_dht_overlay(n, rng=rng),
+            "layered": lambda rng: gen.layered_random(max(2, n // 8), 8, rng=rng),
+            "scale-free": lambda rng: gen.scale_free_directed(n, rng=rng),
+            "power-law": lambda rng: gen.power_law_directed(n, rng=rng),
+            "grid-shortcuts": lambda rng: gen.grid_with_shortcuts(side, side, rng=rng),
+        }
+        suite = standard_families(n, seed=seed)
+        assert tuple(suite) == FAMILY_NAMES == tuple(reference)
+
+        def quads(g):
+            return g.n, [(e.tail, e.head, e.weight, e.port) for e in g.edges()]
+
+        for k, name in enumerate(FAMILY_NAMES):
+            want = quads(reference[name](random.Random(seed + k)))
+            assert quads(suite[name]) == want, name
+            got = Network.from_family(name, n, seed=seed, store=None).graph
+            assert quads(got) == want, name
 
     def test_instance_bridge_removed(self):
         net = make_network(n=12, seed=8)

@@ -197,6 +197,115 @@ class TestApplyDelta:
             g.apply_delta(GraphDelta.link_up(0, 1, 1.0))
 
 
+def _content(g: Digraph):
+    """Everything a graph exposes, in-neighbour order aside: a new
+    in-edge goes to the end of its head's list, where a rebuild sorts
+    it in by tail."""
+    return (
+        g.n,
+        g.m,
+        [(e.tail, e.head, e.weight, e.port) for e in g.edges()],
+        [g.out_neighbors(u) for u in g.vertices()],
+        [sorted(g.in_neighbors(u)) for u in g.vertices()],
+        [{p: g.head_of_port(u, p) for p in g.ports(u)} for u in g.vertices()],
+        sorted((e.tail, e.head) for e in g.edges() if g.has_edge(e.tail, e.head)),
+    )
+
+
+def _rebuilt(g: Digraph, op) -> Digraph:
+    """The successor across ``op`` rebuilt edge by edge through
+    :meth:`Digraph.from_port_edges`, with the port rules spelled out."""
+    n = g.n
+    quads = [(e.tail, e.head, e.weight, e.port) for e in g.edges()]
+
+    def free_port(tail):
+        used = {p for (t, _h, _w, p) in quads if t == tail}
+        return min(set(range(len(used) + 1)) - used)
+
+    if isinstance(op, Reweight):
+        quads = [
+            (t, h, op.weight if (t, h) == (op.tail, op.head) else w, p)
+            for (t, h, w, p) in quads
+        ]
+    elif isinstance(op, LinkDown):
+        quads = [q for q in quads if q[:2] != (op.tail, op.head)]
+    elif isinstance(op, LinkUp):
+        quads.append((op.tail, op.head, op.weight, free_port(op.tail)))
+    elif isinstance(op, Departure):
+        x = op.node
+        quads = [
+            (t - (t > x), h - (h > x), w, p)
+            for (t, h, w, p) in quads if x not in (t, h)
+        ]
+        n -= 1
+    else:
+        quads += [(n, h, w, k) for k, (h, w) in enumerate(op.out_edges)]
+        for (t, w) in op.in_edges:
+            quads.append((t, n, w, free_port(t)))
+        n += 1
+    return Digraph.from_port_edges(n, quads)
+
+
+class TestApplyDeltaSharing:
+    """Same-``n`` ops share the untouched adjacency with the
+    predecessor; the successor must still equal a full rebuild, and the
+    predecessor must not see the change."""
+
+    def _ops(self, g: Digraph):
+        chord = _a_chord(g)
+        last = g.n - 1  # its out-edges end the edge list
+        return [
+            Reweight(*chord, 6.25),
+            LinkDown(*chord),
+            LinkUp(*_a_non_edge(g), 1.75),
+            LinkUp(last, next(v for v in range(last) if not g.has_edge(last, v)), 2.5),
+        ]
+
+    @pytest.mark.parametrize("build", ["generated", "rebuilt"])
+    def test_edge_ops_equal_a_rebuild(self, build):
+        g = _grid_graph(12, 40, extra=10)
+        if build == "rebuilt":
+            g = Digraph.from_port_edges(
+                g.n, [(e.tail, e.head, e.weight, e.port) for e in g.edges()]
+            )
+        for op in self._ops(g):
+            before = _content(g)
+            h = g.apply_delta(GraphDelta((op,)))
+            assert _content(h) == _content(_rebuilt(g, op)), op
+            assert _content(g) == before, f"{op} leaked into the predecessor"
+            assert np.array_equal(
+                h.ports_of([e.tail for e in h.edges()], [e.head for e in h.edges()]),
+                [e.port for e in h.edges()],
+            )
+            if build == "rebuilt" and not isinstance(op, LinkUp):
+                # in-neighbour order too, where no edge was added
+                assert [h.in_neighbors(u) for u in h.vertices()] == [
+                    _rebuilt(g, op).in_neighbors(u) for u in h.vertices()
+                ]
+
+    def test_chained_ops_keep_every_generation(self):
+        g = _grid_graph(10, 41, extra=8)
+        chain = [g]
+        for op in self._ops(g):
+            chain.append(chain[-1].apply_delta(GraphDelta((op,))))
+        snapshots = [_content(x) for x in chain]
+        # a multi-op delta folds to the same graph as the single steps
+        folded = g.apply_delta(GraphDelta(tuple(self._ops(g))))
+        assert _content(folded) == snapshots[-1]
+        assert [_content(x) for x in chain] == snapshots
+
+    @pytest.mark.parametrize("op", [
+        Departure(3),
+        Arrival(((0, 1.5), (2, 2.5)), ((4, 3.5), (2, 0.75))),
+    ])
+    def test_node_ops_equal_a_rebuild(self, op):
+        g = _grid_graph(8, 42, extra=6)
+        before = _content(g)
+        h = g.apply_delta(GraphDelta((op,)))
+        assert _content(h) == _content(_rebuilt(g, op))
+        assert _content(g) == before
+
+
 # ----------------------------------------------------------------------
 # Network.evolve: lineage, carry, repair accounting
 # ----------------------------------------------------------------------
@@ -444,6 +553,86 @@ def test_differential_mixed_timeline_every_event(tables):
             )
         child.oracle().first_hop_matrix()
         net = child
+
+
+def _order_events(g: Digraph, rng: random.Random):
+    """The deltas of the order-matrix differential, starting from
+    ``g``: every same-``n`` op kind, a multi-op delta, then an arrival
+    and the departure of the arrived node.  Each is valid for the graph
+    the previous ones leave (they only reweight ``g``'s edges and add
+    non-edges of ``g``)."""
+    def weight():
+        return round(rng.uniform(0.5, 8.0), 2)
+
+    def edge():
+        return rng.choice([(e.tail, e.head) for e in g.edges()])
+
+    def non_edge():
+        return rng.choice([
+            (u, v) for u in g.vertices() for v in g.vertices()
+            if u != v and not g.has_edge(u, v)
+        ])
+
+    added = non_edge()
+    yield GraphDelta.reweight(*edge(), weight())
+    yield GraphDelta.link_up(*added, weight())
+    yield GraphDelta.link_down(*added)
+    yield GraphDelta((Reweight(*edge(), weight()), LinkUp(*non_edge(), weight()),
+                      Reweight(*edge(), weight())))
+    yield GraphDelta.arrival([(0, weight())], [(g.n - 1, weight())])
+    yield GraphDelta.departure(g.n)
+    yield GraphDelta.reweight(*edge(), weight())
+
+
+@pytest.mark.parametrize("family", ["random", "cycle", "torus"])
+def test_differential_order_matrix_every_event(family):
+    """After every event the evolved metric's ``Init_v`` order matrix —
+    carried from the predecessor and re-sorted only where distances
+    moved — equals a cold metric over a cold oracle; node arrivals and
+    departures fall back to a cold sort."""
+    from repro.graph.roundtrip import RoundtripMetric
+    from repro.graph.shortest_paths import DistanceOracle
+
+    net = Network.from_family(family, 36, seed=4, store=None)
+    net.metric().order_matrix()
+    rng = random.Random(family)
+    partial = 0
+    for delta in _order_events(net.graph, rng):
+        child = net.evolve(delta)
+        got = child.metric().order_matrix()
+        cold = RoundtripMetric(
+            DistanceOracle(child.graph), ids=child.naming().all_names()
+        )
+        assert np.array_equal(got, cold.order_matrix()), delta.op_names()
+        metric_stats = child.stats().cache.as_dict()["metric"]
+        carried = delta.same_n
+        assert metric_stats["builds"] == (0 if carried else 1), delta.op_names()
+        if carried:
+            changed = net.oracle().d_matrix != child.oracle().d_matrix
+            stale = int((changed.any(axis=0) | changed.any(axis=1)).sum())
+            partial += 0 < stale < child.n
+        net = child
+    assert partial, "no event exercised a partial re-sort"
+
+
+def test_evolve_keeps_no_old_generation_alive():
+    """Five generations on, with the old networks dropped, the first
+    generation's oracle and metric are collected: a successor copies
+    what it carries and lets go of it once its own matrix is built."""
+    import gc
+    import weakref
+
+    net = Network.from_family("random", 40, seed=6, store=None)
+    net.router("stretch6").route_many([(0, 1)])
+    first = [weakref.ref(net.oracle()), weakref.ref(net.metric())]
+    rng = random.Random(6)
+    for _ in range(5):
+        tail, head = rng.choice([(e.tail, e.head) for e in net.graph.edges()])
+        net = net.evolve(GraphDelta.reweight(tail, head, round(rng.uniform(0.5, 8.0), 2)))
+        net.router("stretch6").route_many([(0, 1)])
+        assert net.stats().repair.incremental == 1
+    gc.collect()
+    assert [ref() for ref in first] == [None, None]
 
 
 # ----------------------------------------------------------------------

@@ -193,3 +193,29 @@ class TestConstruction:
                 block = scheme.blocks.block_of(name)
                 holder = scheme._block_ptr[u][block]
                 assert name in scheme._dict[holder]
+
+
+@pytest.mark.parametrize("scheme_name", ["stretch6", "wild_names"])
+def test_python_path_tables_built_on_demand(scheme_name):
+    """The name-keyed dictionaries only the Python forwarding path
+    reads are built on its first use; compiled routing and
+    ``table_entries`` never need them, and the entry counts are exactly
+    the sizes of the forced dictionaries."""
+    from repro.api import Network
+
+    g = random_strongly_connected(40, rng=random.Random(8))
+    net = Network(g, seed=2, store=None)
+    scheme = net.build_scheme(scheme_name, blocks_per_node=2)
+    net.router(scheme_name).route_many([(0, 9), (5, 31)])
+    entries = [scheme.table_entries(v) for v in range(g.n)]
+    assert "_near" not in vars(scheme) and "_dict" not in vars(scheme)
+    # a Python-engine route forces them (the counts below force the rest)
+    Simulator(scheme).roundtrip(3, scheme.name_of(17))
+    assert "_near" in vars(scheme)
+    assert entries == [
+        len(scheme._near[v])
+        + len(scheme._block_ptr[v])
+        + len(scheme._dict[v])
+        + scheme.rtz.table_entries(v)
+        for v in range(g.n)
+    ]

@@ -225,6 +225,38 @@ class TestDistanceOracle:
                 small_oracle.d(0, v)
             )
 
+    @pytest.mark.parametrize("build", ["python", "vectorized", "from_arrays"])
+    def test_walkers_read_the_parent_matrix(self, small_random, build):
+        """``path``, ``next_hop`` and ``forward_tree_parents`` are walks
+        over ``parent_matrix()`` rows, whichever way the oracle was
+        made; the parents are kept only as that array."""
+        if build == "from_arrays":
+            cold = DistanceOracle(small_random)
+            oracle = DistanceOracle.from_arrays(
+                small_random, cold.d_matrix, cold.parent_matrix()
+            )
+        else:
+            oracle = DistanceOracle(small_random, engine=build)
+        assert not hasattr(oracle, "_parent")
+        parent = oracle.parent_matrix()
+        n = oracle.n
+        for u in range(n):
+            row = parent[u].tolist()
+            tree = oracle.forward_tree_parents(u)
+            assert tree == row
+            assert all(type(x) is int for x in tree)
+            for v in range(n):
+                walk = [v]
+                while walk[-1] != u:
+                    walk.append(row[walk[-1]])
+                walk.reverse()
+                path = oracle.path(u, v)
+                assert path == walk
+                assert all(type(x) is int for x in path)
+                if u != v:
+                    hop = oracle.next_hop(u, v)
+                    assert hop == walk[1] and type(hop) is int
+
     def test_first_hop_matrix_matches_next_hop(
         self, small_oracle: DistanceOracle
     ):

@@ -467,21 +467,43 @@ class TestRehydrationBitIdentity:
 # ----------------------------------------------------------------------
 class TestEngineHooks:
     def test_substrate_tables_roundtrip(self, graph, store):
+        """Compiled substrate tables are cheaper to compile than to read
+        back, so neither family writes a store entry; a second network
+        (its substrate rehydrated from the store) compiles equal ones."""
         from repro.runtime.engine import compile_substrate_tables
 
         with store_override(store):
-            cold = Network(graph, seed=5, store=store)
-            rtz_cold = cold.rtz()
-            tables_cold = compile_substrate_tables(rtz_cold)
-            assert any(e.kind == "substrate-tables" for e in store.entries())
+            for tables in ("dense", "blocked"):
+                first, second = (
+                    compile_substrate_tables(
+                        Network(graph, seed=5, store=store).rtz(), tables
+                    )
+                    for _ in range(2)
+                )
+                assert vars(first).keys() == vars(second).keys()
+                for name, value in vars(first).items():
+                    assert np.array_equal(value, vars(second)[name]), name
+        kinds = {e.kind for e in store.entries()}
+        assert "rtz" in kinds
+        assert not kinds & {"substrate-tables", "landmark-tables"}
 
-            warm = Network(graph, seed=5, store=store)
-            tables_warm = compile_substrate_tables(warm.rtz())
-        assert np.array_equal(
-            tables_warm.direct_next, tables_cold.direct_next
-        )
-        assert np.array_equal(tables_warm.up_next, tables_cold.up_next)
-        assert np.array_equal(tables_warm.down_next, tables_cold.down_next)
+    def test_legacy_table_entries_listed_and_collected(self, store):
+        for kind in ("substrate-tables", "landmark-tables"):
+            store.put(StoreKey(kind, 1, {"graph": "g", "centers": [0]}), _arrays())
+        assert {e.kind for e in store.entries()} == {
+            "substrate-tables", "landmark-tables",
+        }
+        assert store.verify() == (2, [])
+        assert store.gc(max_bytes=0) == 2
+        assert not list(store.entries())
+
+    @pytest.mark.parametrize("tables", ["dense", "blocked"])
+    def test_store_off_network_writes_nothing(self, graph, store, tables):
+        with store_override(store):
+            net = Network(graph, seed=5, store=None, tables=tables)
+            net.router("stretch6").route_many([(0, 5), (3, 9)])
+        assert store.stats().puts == 0
+        assert not list(store.entries())
 
     def test_first_hop_matrix_roundtrip(self, graph, store):
         with store_override(store):
