@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     Iterable,
@@ -30,14 +30,16 @@ from typing import (
     Union,
 )
 
+from repro.exceptions import GraphError
 from repro.graph.shortest_paths import DistanceOracle
 from repro.runtime.scheme import RoutingScheme
-from repro.runtime.simulator import RoundtripTrace, Simulator
+from repro.runtime.simulator import RoundtripTrace, Simulator, TraceBatch
 from repro.runtime.stats import TableReport, measure_tables
 from repro.runtime.traffic import (
     TrafficSummary,
     Workload,
     num_shards,
+    require_distinct,
     run_workload,
 )
 
@@ -45,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.stats import RouterStats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RouteResult:
     """One served roundtrip query.
 
@@ -57,7 +59,8 @@ class RouteResult:
         hops: total roundtrip hop count.
         max_header_bits: largest header observed on the journey.
         stretch: ``cost / r(source, dest)`` (``nan`` without an oracle).
-        trace: the full hop-by-hop trace.
+        trace: the full hop-by-hop trace (a property: read from the
+            routed batch, whose paths are built on first read).
     """
 
     source: int
@@ -67,7 +70,32 @@ class RouteResult:
     hops: int
     max_header_bits: int
     stretch: float
-    trace: RoundtripTrace
+    _batch: TraceBatch = field(repr=False)
+    _index: int = field(repr=False)
+
+    @property
+    def trace(self) -> RoundtripTrace:
+        return self._batch[self._index]
+
+    def _key(self) -> tuple:
+        return (
+            self.source, self.dest, self.dest_name, self.cost, self.hops,
+            self.max_header_bits, self.stretch, self.trace,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __reduce__(self):
+        # ship this result's own trace, not the whole batch behind it
+        return (_rebuild_result, self._key())
+
+
+def _rebuild_result(*key) -> RouteResult:
+    """Unpickle a :class:`RouteResult` around its own one-trace batch."""
+    return RouteResult(*key[:-1], TraceBatch.from_traces(key[-1:]), 0)
 
 
 @dataclass
@@ -164,6 +192,7 @@ class Router:
         self._total_hops = 0
         self._max_header_bits = 0
         self._tables: Optional[TableReport] = None
+        self._name_table: Optional[List[int]] = None
         self._engine_stats: Dict[str, Dict[str, float]] = {
             name: {"batches": 0, "pairs": 0, "seconds": 0.0, "shards": 0}
             for name in ("vectorized", "python")
@@ -205,27 +234,55 @@ class Router:
         stats["seconds"] += seconds
         stats["shards"] += shards
 
-    def _result(self, s: int, t: int, name: int, trace: RoundtripTrace) -> RouteResult:
-        cost = trace.total_cost
-        hops = trace.total_hops
-        bits = trace.max_header_bits
-        self._queries += 1
-        self._total_cost += cost
-        self._total_hops += hops
-        self._max_header_bits = max(self._max_header_bits, bits)
-        stretch = (
-            cost / self._oracle.r(s, t) if self._oracle is not None else math.nan
-        )
-        return RouteResult(
-            source=s,
-            dest=t,
-            dest_name=name,
-            cost=cost,
-            hops=hops,
-            max_header_bits=bits,
-            stretch=stretch,
-            trace=trace,
-        )
+    def _names_of(self, dests: List[int]) -> List[int]:
+        """The names of destination vertices (one gather over the
+        scheme's naming, tabulated on first use)."""
+        if self._name_table is None:
+            self._name_table = [
+                self._scheme.name_of(v) for v in range(self._scheme.graph.n)
+            ]
+        table = self._name_table
+        return [table[t] for t in dests]
+
+    def _check_pairs(self, sources: List[int], dests: List[int]) -> None:
+        """Refuse, before routing, a vertex outside the graph or a pair
+        whose stretch is undefined (``source == dest``)."""
+        n = self._scheme.graph.n
+        for s, t in zip(sources, dests):
+            if not (0 <= s < n and 0 <= t < n):
+                raise GraphError(f"pair ({s}, {t}) is out of range for n={n}")
+        require_distinct(zip(sources, dests))
+
+    def _results(
+        self,
+        batch: TraceBatch,
+        sources: List[int],
+        dests: List[int],
+        names: List[int],
+    ) -> List[RouteResult]:
+        """One result per pair, read off the batch's arrays; the session
+        totals absorb them in input order."""
+        cost = batch.total_cost()
+        costs = cost.tolist()
+        hops = batch.total_hops().tolist()
+        bits = batch.max_header_bits().tolist()
+        if self._oracle is None:
+            stretch = [math.nan] * len(costs)
+        else:
+            stretch = (cost / self._oracle.r_matrix[sources, dests]).tolist()
+        total = self._total_cost
+        for c in costs:
+            total += c
+        self._total_cost = total
+        self._queries += len(costs)
+        self._total_hops += sum(hops)
+        self._max_header_bits = max([self._max_header_bits] + bits)
+        return [
+            RouteResult(*row, batch, i)
+            for i, row in enumerate(
+                zip(sources, dests, names, costs, hops, bits, stretch)
+            )
+        ]
 
     # ------------------------------------------------------------------
     # queries
@@ -238,13 +295,19 @@ class Router:
             dest: destination vertex id, or destination *name* when
                 ``by_name`` is set.
             by_name: treat ``dest`` as a name the packet carries.
+
+        Raises:
+            GraphError: for a vertex outside the graph or
+                ``source == dest`` (roundtrip stretch is undefined).
         """
         name = dest if by_name else self._scheme.name_of(dest)
         vertex = self._scheme.vertex_of(name)
+        self._check_pairs([source], [vertex])
         t0 = time.perf_counter()
         trace = self._sim.roundtrip(source, name)
         self._account_batch("python", 1, time.perf_counter() - t0)
-        return self._result(source, vertex, name, trace)
+        batch = TraceBatch.from_traces([trace])
+        return self._results(batch, [source], [vertex], [name])[0]
 
     def route_many(
         self,
@@ -256,23 +319,33 @@ class Router:
 
         The batch executes through the compiled vectorized engine when
         the scheme supports it (or as the ``engine`` override
-        requests); results are identical either way.
+        requests); results are identical either way.  Results read the
+        batch's cost, hop and header arrays; a result's ``trace`` is
+        built only when it is read.
+
+        Raises:
+            GraphError: for a vertex outside the graph or a pair with
+                ``source == dest``, before anything is routed.
         """
         pair_list = list(pairs)
+        sources = [s for s, _ in pair_list]
+        if by_name:
+            names = [t for _, t in pair_list]
+            dests = [self._scheme.vertex_of(t) for t in names]
+        else:
+            dests = [t for _, t in pair_list]
+        self._check_pairs(sources, dests)
+        if not by_name:
+            names = self._names_of(dests)
         resolved = self.resolve_engine(engine)
         t0 = time.perf_counter()
-        traces = self._sim.roundtrip_many(
-            pair_list, by_name=by_name, engine=resolved
+        batch = self._sim.roundtrip_many(
+            list(zip(sources, dests)), engine=resolved
         )
         self._account_batch(
             resolved, len(pair_list), time.perf_counter() - t0
         )
-        results = []
-        for (s, t), trace in zip(pair_list, traces):
-            name = t if by_name else self._scheme.name_of(t)
-            vertex = t if not by_name else self._scheme.vertex_of(t)
-            results.append(self._result(s, vertex, name, trace))
-        return results
+        return self._results(batch, sources, dests, names)
 
     def serve_workload(
         self,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ class DynamicMaintenance:
 
     def __init__(self, prep: DistributedPreprocessing):
         self._prep = prep
-        self._g = prep._g  # noqa: SLF001 - cooperative module
-        self._naming = prep._naming  # noqa: SLF001
+        self._g = prep.graph
         # Canonical APSP state for the current graph: the substrate the
         # incremental repair protocol patches across updates.
         oracle = DistanceOracle(self._g)
@@ -113,7 +112,6 @@ class DynamicMaintenance:
             GraphDelta.reweight(tail, head, weight)
         )
         self._g = new_g
-        self._prep._g = new_g  # noqa: SLF001
         # downstream ingredients recomputed from repaired vectors
         self._refresh_derived()
         changed_nb = sum(
@@ -182,9 +180,10 @@ class DynamicMaintenance:
         )
 
     def _refresh_derived(self) -> None:
-        """Recompute next hops, center radii, and tree addresses from
-        the repaired vectors (names, landmarks, and block sets are
-        untouched — the TINN decoupling)."""
+        """Recompute next hops from the repaired vectors, then let the
+        preprocessing redo center radii and tree addresses over the new
+        graph (names, landmarks, and block sets are untouched — the
+        TINN decoupling)."""
         prep = self._prep
         g = self._g
         n = g.n
@@ -205,15 +204,7 @@ class DynamicMaintenance:
                         "repair left an unreachable destination"
                     )
                 node.next_port[t_name] = g.port_of(u, best[2])
-        radii: Dict[int, float] = {}
-        for v in range(n):
-            node = prep.nodes[v]
-            radii[node.name] = min(
-                prep._r_of(node, c) for c in node.landmarks  # noqa: SLF001
-            )
-        for v in range(n):
-            prep.nodes[v].center_radius = dict(radii)
-        prep._phase5_tree_addresses()  # noqa: SLF001 - reuse the phase
+        prep.reconverge(g)
 
     # ------------------------------------------------------------------
     def verify(self, oracle: DistanceOracle) -> None:

@@ -121,6 +121,25 @@ class DistributedPreprocessing:
         self._phase4_center_radii()
         self._phase5_tree_addresses()
 
+    @property
+    def graph(self) -> Digraph:
+        """The network the node states currently describe."""
+        return self._g
+
+    def reconverge(self, g: Digraph) -> None:
+        """Adopt ``g`` — the same nodes with changed edge weights — and
+        redo phases 4 and 5 (center radii, landmark tree addresses)
+        from the nodes' current distance vectors.
+
+        The caller has already brought every node's ``dist_to`` /
+        ``dist_from`` and ``next_port`` up to date for ``g`` (see
+        :class:`repro.distributed.dynamic.DynamicMaintenance`); names,
+        landmarks, and block sets stay.
+        """
+        self._g = g
+        self._phase4_center_radii()
+        self._phase5_tree_addresses()
+
     # ------------------------------------------------------------------
     # phase 1: flood names, elect min-name leader
     # ------------------------------------------------------------------

@@ -376,7 +376,7 @@ class DistanceOracle:
             first.flags.writeable = False
         self._first_hop = first
 
-    def first_hop_matrix(self) -> np.ndarray:
+    def first_hop_matrix(self, store="auto") -> np.ndarray:
         """``(n, n)`` int32 matrix of canonical first hops:
         ``F[u, v] == next_hop(u, v)`` for every ``u != v`` (``-1`` on
         the diagonal), computed by vectorized pointer doubling over the
@@ -385,6 +385,11 @@ class DistanceOracle:
         This is the compiled form of full-table forwarding: the
         vectorized routing engine gathers ``F[at, dest]`` per frontier
         sweep instead of walking parent chains per packet.
+
+        ``store`` is where the matrix persists between processes:
+        ``"auto"`` resolves :func:`repro.store.default_store`, an
+        :class:`~repro.store.ArtifactStore` pins one (a network passes
+        its own), and ``None`` keeps it in memory only.
 
         Raises :class:`~repro.exceptions.TableTooLargeError` above the
         configured dense-table threshold instead of OOMing; the blocked
@@ -396,7 +401,7 @@ class DistanceOracle:
         cached = getattr(self, "_first_hop", None)
         if cached is not None:
             return cached
-        store, store_key = self._first_hop_store_key()
+        store, store_key = self._first_hop_store_key(store)
         if store is not None:
             entry = store.get(store_key)
             if entry is not None and entry.arrays["first"].shape == (self.n, self.n):
@@ -424,16 +429,18 @@ class DistanceOracle:
 
         return first_hops_from_parents(self._parent_rows[lo:hi], lo)
 
-    def _first_hop_store_key(self):
-        """``(store, key)`` for the persisted first-hop matrix, or
-        ``(None, None)`` when persistence is off or the graph is not
-        frozen.  The key is engine- and seed-free: the matrix is a pure
-        function of the (content-hashed) graph."""
+    def _first_hop_store_key(self, store):
+        """``(store, key)`` for the persisted first-hop matrix in
+        ``store`` (``"auto"``: the default store), or ``(None, None)``
+        when persistence is off or the graph is not frozen.  The key is
+        engine- and seed-free: the matrix is a pure function of the
+        (content-hashed) graph."""
         if not self._g.frozen:
             return None, None
         from repro.store import StoreKey, default_store, graph_content_hash
 
-        store = default_store()
+        if store == "auto":
+            store = default_store()
         if store is None:
             return None, None
         key = StoreKey(

@@ -34,6 +34,19 @@ bit sizes do not depend on the packet's position).  Schemes with
 growing headers — the ExStretch/PolynomialStretch waypoint stacks —
 return ``None`` and transparently fall back to the Python simulator.
 
+What a batch returns
+--------------------
+
+:func:`run_roundtrips` returns a
+:class:`~repro.runtime.simulator.TraceBatch`: ``(2, B)`` arrays of
+per-leg cost, hop count and max header bits, filled by the sweeps, and
+the sweep log (per sweep, each stepping packet's ``(packet, leg)`` key
+and the vertex it stepped to).  ``Router.route_many`` and
+``run_workload`` read only the arrays.  A trace's vertex paths are
+built when a caller first reads any trace of the batch: one stable
+argsort of the log, one ``tolist()``, then one slice per leg.  The
+batch owns its log, so later batches never change it.
+
 Bit-identical by construction
 -----------------------------
 
@@ -48,6 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,8 +72,7 @@ from repro.graph.digraph import Digraph, sorted_lookup
 from repro.graph.limits import dense_table_max_n
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
     EXECUTION_ENGINES,
-    LegTrace,
-    RoundtripTrace,
+    TraceBatch,
 )
 
 #: substrate leg phases (mirror repro.rtz.routing's DIRECT/TO_CENTER/
@@ -190,15 +203,16 @@ class BlockedNextHop(StepTables):
 
 
 def compile_blocked_next_hop(
-    oracle, block_rows: Optional[int] = None
+    oracle, block_rows: Optional[int] = None, store="auto"
 ) -> BlockedNextHop:
     """Build :class:`BlockedNextHop` tables from a distance oracle,
     one source block at a time.
 
     Each block is computed via :meth:`DistanceOracle.first_hop_block`
-    (peak memory ``O(block_rows * n)``) and, when the artifact store is
-    active, persisted under its own ``first-hop-block`` key — keyed by
-    (graph content hash, block geometry) — so warm processes
+    (peak memory ``O(block_rows * n)``) and, when ``store`` is active
+    (``"auto"`` resolves :func:`repro.store.default_store`; ``None``
+    is off), persisted under its own ``first-hop-block`` key — keyed
+    by (graph content hash, block geometry) — so warm processes
     memory-map blocks instead of recomputing them.
     """
     from repro.graph.blocked import default_block_rows
@@ -209,12 +223,14 @@ def compile_blocked_next_hop(
         block_rows = default_block_rows(n)
     block_rows = max(1, min(max(n, 1), int(block_rows)))
 
-    store = None
     ghash = None
-    if g.frozen:
+    if not g.frozen:
+        store = None
+    else:
         from repro.store import default_store, graph_content_hash
 
-        store = default_store()
+        if store == "auto":
+            store = default_store()
         if store is not None:
             ghash = graph_content_hash(g)
 
@@ -621,7 +637,7 @@ def run_roundtrips(
     pairs: Sequence[Tuple[int, int]],
     hop_limit: int,
     scheme_name: str = "?",
-) -> List[RoundtripTrace]:
+) -> TraceBatch:
     """Execute a batch of roundtrips against compiled tables.
 
     All in-flight packets advance one hop per sweep; per-packet leg
@@ -637,11 +653,13 @@ def run_roundtrips(
         scheme_name: label used in error messages.
 
     Returns:
-        One :class:`RoundtripTrace` per pair, in input order.
+        A :class:`TraceBatch` in input order: the per-leg cost, hop and
+        header-bit arrays the sweeps filled, plus the sweep log its
+        hop-by-hop paths are built from on first read.
     """
     batch = len(pairs)
     if batch == 0:
-        return []
+        return TraceBatch.from_traces([])
     sources = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=batch)
     dests = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=batch)
     plan = compiled.plan(sources, dests)
@@ -666,13 +684,10 @@ def run_roundtrips(
         dtype=np.int64,
     )
     init_bits = np.stack(plan.leg_init_bits).astype(np.int64)
-    num_segs = target_mat.shape[0]
 
-    pidx = np.arange(batch, dtype=np.int64)
     at = sources.copy()
     cur_seg = np.zeros(batch, dtype=np.int64)
     phase = np.zeros(batch, dtype=np.int8)
-    active = np.ones(batch, dtype=bool)
 
     leg_cost = np.zeros(batch, dtype=np.float64)
     leg_hops = np.zeros(batch, dtype=np.int64)
@@ -683,9 +698,9 @@ def run_roundtrips(
     leg_start = np.zeros((num_legs, batch), dtype=np.int64)
     leg_start[0] = sources
 
-    # Path log: per sweep, (packet indices, leg ids, vertices stepped to).
-    log_idx: List[np.ndarray] = []
-    log_leg: List[np.ndarray] = []
+    # Sweep log: per sweep, each stepping packet's (packet, leg) key
+    # ``packet * num_legs + leg`` and the vertex it stepped to.
+    log_key: List[np.ndarray] = []
     log_vert: List[np.ndarray] = []
 
     # Aim every packet at its first segment.
@@ -700,7 +715,10 @@ def run_roundtrips(
     leg_end = np.stack([leg[-1].target for leg in plan.legs])
     failed = np.full(batch, -1, dtype=np.int64)  # leg id at failure
 
-    while active.any():
+    # The in-flight packets, ascending: delivered and failed packets
+    # drop out, so a sweep costs O(in flight), not O(batch).
+    live = np.arange(batch, dtype=np.int64)
+    while live.shape[0]:
         # --- hop budget: the simulator allows a leg at most
         # ``hop_limit + 1`` forwarding decisions; a packet that has
         # forwarded hop_limit + 1 times without delivering is a loop
@@ -708,62 +726,63 @@ def run_roundtrips(
         # sequential reference raises for the first *input-order* pair
         # that loops (later pairs never run), so park failed packets
         # and keep sweeping — the raise below picks the same pair.
-        over = active & (leg_hops > hop_limit)
+        over = leg_hops[live] > hop_limit
         if over.any():
-            failed[over] = leg_of_seg[cur_seg[over]]
-            active &= ~over
-            if not active.any():
-                break
+            lost = live[over]
+            failed[lost] = leg_of_seg[cur_seg[lost]]
+            live = live[~over]
         # --- segment/leg transitions: packets sitting at their current
         # segment's endpoint (or whose segment is absent for them)
         # advance without consuming a hop, exactly like the scheme's
         # same-call header reprocessing at a dictionary node.
         while True:
-            tgt = target_mat[np.minimum(cur_seg, num_segs - 1), pidx]
-            pend = active & ((tgt == -1) | (tgt == at))
+            tgt = target_mat[cur_seg[live], live]
+            pend = (tgt == -1) | (tgt == at[live])
             if not pend.any():
                 break
-            old_leg = leg_of_seg[cur_seg[pend]]
-            cur_seg[pend] += 1
-            new_leg = leg_of_seg[cur_seg[pend]]
+            pp = live[pend]
+            old_leg = leg_of_seg[cur_seg[pp]]
+            cur_seg[pp] += 1
+            new_leg = leg_of_seg[cur_seg[pp]]
             crossed = new_leg != old_leg
+            finished = new_leg >= num_legs
             if crossed.any():
-                cp = pidx[pend][crossed]
+                cp = pp[crossed]
                 out_cost[old_leg[crossed], cp] = leg_cost[cp]
                 out_bits[old_leg[crossed], cp] = leg_bits[cp]
-                finished = new_leg[crossed] >= num_legs
-                done_p = cp[finished]
-                active[done_p] = False
-                open_p = cp[~finished]
+                opened = crossed & ~finished
+                open_p = pp[opened]
                 if open_p.shape[0]:
-                    olids = new_leg[crossed][~finished]
+                    olids = new_leg[opened]
                     leg_cost[open_p] = 0.0
                     leg_hops[open_p] = 0
                     leg_bits[open_p] = init_bits[olids, open_p]
                     leg_start[olids, open_p] = at[open_p]
+            if finished.any():
+                keep = np.ones(live.shape[0], dtype=bool)
+                keep[np.flatnonzero(pend)[finished]] = False
+                live = live[keep]
+                pp = pp[~finished]
             # Re-aim packets that advanced into a live, present segment.
-            moved = pend & active
-            if moved.any():
-                tgt2 = target_mat[cur_seg[moved], pidx[moved]]
-                aim_p = pidx[moved][tgt2 >= 0]
+            if pp.shape[0]:
+                aim_p = pp[target_mat[cur_seg[pp], pp] >= 0]
                 if aim_p.shape[0]:
                     phase[aim_p] = tables.begin_phase(
                         at[aim_p], target_mat[cur_seg[aim_p], aim_p]
                     )
-        if not active.any():
+        if not live.shape[0]:
             break
         # --- one synchronized hop for every in-flight packet.
-        ap = pidx[active]
-        tgt = target_mat[cur_seg[ap], ap]
-        nxt, new_phase = tables.step(at[ap], tgt, phase[ap])
-        leg_cost[ap] += csr.pair_weights(at[ap], nxt)
-        leg_hops[ap] += 1
-        leg_bits[ap] = np.maximum(leg_bits[ap], bits_mat[cur_seg[ap], ap])
-        log_idx.append(ap)
-        log_leg.append(leg_of_seg[cur_seg[ap]])
+        seg = cur_seg[live]
+        here = at[live]
+        nxt, new_phase = tables.step(here, target_mat[seg, live], phase[live])
+        leg_cost[live] += csr.pair_weights(here, nxt)
+        leg_hops[live] += 1
+        leg_bits[live] = np.maximum(leg_bits[live], bits_mat[seg, live])
+        log_key.append(live * num_legs + leg_of_seg[seg])
         log_vert.append(nxt.astype(np.int64))
-        at[ap] = nxt
-        phase[ap] = new_phase
+        at[live] = nxt
+        phase[live] = new_phase
 
     if (failed >= 0).any():
         p = int(np.flatnonzero(failed >= 0)[0])
@@ -772,55 +791,34 @@ def run_roundtrips(
             f"scheme {scheme_name} exceeded {hop_limit} hops routing "
             f"from {int(leg_start[li, p])} to {int(leg_end[li, p])} (loop?)"
         )
-    return _assemble_traces(
-        batch, num_legs, leg_start, out_cost, out_bits,
-        log_idx, log_leg, log_vert,
+    keys = np.concatenate(log_key) if log_key else np.empty(0, np.int64)
+    # a leg's hop count is the number of sweeps that logged it
+    out_hops = np.bincount(keys, minlength=batch * num_legs)
+    out_hops = out_hops.reshape(batch, num_legs).T
+    return TraceBatch(
+        out_cost, out_hops, out_bits,
+        partial(_leg_paths, leg_start, out_hops, keys, log_vert),
     )
 
 
-def _assemble_traces(
-    batch: int,
-    num_legs: int,
+def _leg_paths(
     leg_start: np.ndarray,
-    out_cost: np.ndarray,
-    out_bits: np.ndarray,
-    log_idx: List[np.ndarray],
-    log_leg: List[np.ndarray],
+    leg_hops: np.ndarray,
+    keys: np.ndarray,
     log_vert: List[np.ndarray],
-) -> List[RoundtripTrace]:
-    """Reconstruct per-packet hop-by-hop traces from the sweep log."""
-    if log_idx:
-        idx = np.concatenate(log_idx)
-        leg = np.concatenate(log_leg)
-        vert = np.concatenate(log_vert)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        leg = np.empty(0, dtype=np.int64)
-        vert = np.empty(0, dtype=np.int64)
-    paths: List[List[List[int]]] = [
-        [[int(leg_start[li, p])] for li in range(num_legs)]
-        for p in range(batch)
-    ]
-    if idx.shape[0]:
-        # Stable sort by (packet, leg) keeps sweep order in each group.
-        order = np.argsort(idx * num_legs + leg, kind="stable")
-        idx, leg, vert = idx[order], leg[order], vert[order]
-        keys = idx * num_legs + leg
-        boundaries = np.flatnonzero(np.diff(keys)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [keys.shape[0]]))
-        for s, e in zip(starts, ends):
-            paths[int(idx[s])][int(leg[s])].extend(vert[s:e].tolist())
+) -> List[List[int]]:
+    """Every leg's vertex path, packet-major, from the sweep log.
 
-    traces = []
-    for p in range(batch):
-        legs = [
-            LegTrace(
-                path=paths[p][li],
-                cost=float(out_cost[li, p]),
-                max_header_bits=int(out_bits[li, p]),
-            )
-            for li in range(num_legs)
-        ]
-        traces.append(RoundtripTrace(outbound=legs[0], inbound=legs[1]))
-    return traces
+    Each leg's start vertex goes in ahead of its logged hops under the
+    same ``(packet, leg)`` key, so one stable argsort leaves every path
+    contiguous and in sweep order, and each path is one slice of a
+    single list.
+    """
+    num_legs, batch = leg_start.shape
+    order = np.argsort(
+        np.concatenate([np.arange(batch * num_legs, dtype=np.int64), keys]),
+        kind="stable",
+    )
+    verts = np.concatenate([leg_start.T.ravel()] + log_vert)[order].tolist()
+    ends = np.cumsum(leg_hops.T.ravel() + 1).tolist()
+    return [verts[lo:hi] for lo, hi in zip([0] + ends, ends)]

@@ -16,8 +16,11 @@ simulator also:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import HopLimitExceeded, RoutingError
 from repro.runtime.scheme import Deliver, Forward, Header, RoutingScheme
@@ -75,6 +78,91 @@ class RoundtripTrace:
     def max_header_bits(self) -> int:
         """Largest header observed anywhere in the journey."""
         return max(self.outbound.max_header_bits, self.inbound.max_header_bits)
+
+
+class TraceBatch(Sequence):
+    """A batch of roundtrips, in input order, held as arrays.
+
+    ``cost``, ``hops`` and ``header_bits`` are ``(2, B)`` arrays of the
+    per-leg figures (row 0 the outbound leg, row 1 the acknowledgment),
+    so batch consumers read totals without building any trace.  The
+    batch is also a sequence of :class:`RoundtripTrace`: the first read
+    of any trace builds every leg's path at once (``leg_paths`` returns
+    them packet-major: outbound then inbound of packet 0, then packet
+    1, ...) and keeps them.
+    """
+
+    def __init__(
+        self,
+        cost: np.ndarray,
+        hops: np.ndarray,
+        header_bits: np.ndarray,
+        leg_paths: Optional[Callable[[], List[List[int]]]],
+    ):
+        self.cost = cost
+        self.hops = hops
+        self.header_bits = header_bits
+        self._leg_paths = leg_paths
+        self._traces: Optional[List[RoundtripTrace]] = None
+
+    @classmethod
+    def from_traces(cls, traces: Iterable[RoundtripTrace]) -> "TraceBatch":
+        """Wrap traces the Python simulator already built."""
+        traces = list(traces)
+        legs = [leg for t in traces for leg in (t.outbound, t.inbound)]
+
+        def rows(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype).reshape(-1, 2).T
+
+        batch = cls(
+            rows([leg.cost for leg in legs], np.float64),
+            rows([leg.hops for leg in legs], np.int64),
+            rows([leg.max_header_bits for leg in legs], np.int64),
+            None,
+        )
+        batch._traces = traces
+        return batch
+
+    def total_cost(self) -> np.ndarray:
+        """Per-pair roundtrip cost (the float sum
+        :attr:`RoundtripTrace.total_cost` makes)."""
+        return self.cost[0] + self.cost[1]
+
+    def total_hops(self) -> np.ndarray:
+        """Per-pair roundtrip hop count."""
+        return self.hops[0] + self.hops[1]
+
+    def max_header_bits(self) -> np.ndarray:
+        """Per-pair largest header observed on either leg."""
+        return np.maximum(self.header_bits[0], self.header_bits[1])
+
+    def traces(self) -> List[RoundtripTrace]:
+        """Every roundtrip's trace (built on the first call)."""
+        traces = self._traces
+        if traces is None:
+            paths = self._leg_paths()
+            out_cost, in_cost = self.cost.tolist()
+            out_bits, in_bits = self.header_bits.tolist()
+            traces = self._traces = [
+                RoundtripTrace(LegTrace(p_out, c_out, b_out),
+                               LegTrace(p_in, c_in, b_in))
+                for p_out, p_in, c_out, c_in, b_out, b_in in zip(
+                    paths[0::2], paths[1::2], out_cost, in_cost,
+                    out_bits, in_bits,
+                )
+            ]
+        return traces
+
+    def __len__(self) -> int:
+        return self.cost.shape[1]
+
+    def __getitem__(self, index):
+        return self.traces()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (TraceBatch, list)):
+            return self.traces() == list(other)
+        return NotImplemented
 
 
 class Simulator:
@@ -205,7 +293,7 @@ class Simulator:
         pairs: Iterable[Tuple[int, int]],
         by_name: bool = False,
         engine: str = "auto",
-    ) -> List[RoundtripTrace]:
+    ) -> TraceBatch:
         """Run the full roundtrip protocol for a batch of pairs.
 
         This is the entry point for traffic workloads (see
@@ -227,7 +315,9 @@ class Simulator:
                 All engines produce bit-identical traces.
 
         Returns:
-            One :class:`RoundtripTrace` per pair, in input order.
+            A :class:`TraceBatch`: per-leg cost, hop and header-bit
+            arrays, and one :class:`RoundtripTrace` per pair, in input
+            order (the vectorized engine builds paths on first read).
 
         Raises:
             RoutingError: propagated from any journey — batch
@@ -249,7 +339,7 @@ class Simulator:
                 scheme_name=self._scheme.name,
             )
         name_of = self._scheme.name_of
-        return [
+        return TraceBatch.from_traces(
             self.roundtrip(s, t if by_name else name_of(t))
             for (s, t) in pairs
-        ]
+        )

@@ -32,14 +32,14 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.shortest_paths import DistanceOracle
 from repro.runtime.scheme import RoutingScheme
-from repro.runtime.simulator import Simulator
+from repro.runtime.simulator import Simulator, TraceBatch
 
 #: Workload kinds understood by :func:`generate_workload`.  The last
 #: three — zipf-skewed hotspots, flash crowds, and diurnal ramps — are
@@ -703,47 +703,60 @@ def resolve_executor(
     return "processes" if engine == "python" else "threads"
 
 
+def require_distinct(pairs: Iterable[Tuple[int, int]]) -> None:
+    """Raise :class:`GraphError` for the first ``(source, destination)``
+    vertex pair with ``source == destination`` (roundtrip stretch is
+    undefined there)."""
+    for (s, t) in pairs:
+        if s == t:
+            raise GraphError(
+                f"traffic pairs need source != destination, got ({s}, {t})"
+            )
+
+
 def _summarize(
     kind: str,
     pairs: Sequence[Tuple[int, int]],
-    traces,
+    batch: TraceBatch,
     r_matrix,
     elapsed: float,
 ) -> TrafficSummary:
-    """Aggregate one (shard's) trace batch into a :class:`TrafficSummary`.
+    """Aggregate one (shard's) routed batch into a :class:`TrafficSummary`.
 
+    Reads the batch's per-pair arrays, never its traces; the sums run
+    over Python floats in input order, as a sum over the traces would.
     ``r_matrix`` is the oracle's roundtrip-distance matrix (or ``None``
     for no stretch columns); workers receive the bare matrix so the
     process executor never ships a whole :class:`DistanceOracle`.
     """
-    if not traces:
+    if not len(batch):
         return TrafficSummary(
             kind, 0, 0.0, 0, 0.0, 0.0, 0, 0, float("nan"), float("nan"),
             (-1, -1), elapsed,
         )
-    total_cost = sum(t.total_cost for t in traces)
-    total_hops = sum(t.total_hops for t in traces)
-    max_bits = max(t.max_header_bits for t in traces)
+    cost = batch.total_cost()
+    costs = cost.tolist()
+    hops = batch.total_hops().tolist()
+    total_cost = sum(costs)
+    total_hops = sum(hops)
     mean_stretch = max_stretch = float("nan")
     worst_pair = (-1, -1)
     if r_matrix is not None:
-        stretches = [
-            t.total_cost / float(r_matrix[s, v])
-            for t, (s, v) in zip(traces, pairs)
-        ]
+        ends = np.array(pairs, dtype=np.int64)
+        stretches = (cost / r_matrix[ends[:, 0], ends[:, 1]]).tolist()
         mean_stretch = sum(stretches) / len(stretches)
         worst = max(range(len(stretches)), key=stretches.__getitem__)
         max_stretch = stretches[worst]
         worst_pair = pairs[worst]
     return TrafficSummary(
         kind=kind,
-        pairs=len(traces),
+        pairs=len(costs),
         total_cost=total_cost,
         total_hops=total_hops,
-        mean_cost=total_cost / len(traces),
-        mean_hops=total_hops / len(traces),
-        max_hops=max(t.total_hops for t in traces),
-        max_header_bits=max_bits,
+        mean_cost=total_cost / len(costs),
+        mean_hops=total_hops / len(costs),
+        max_hops=max(hops),
+        max_header_bits=int(batch.max_header_bits().max()),
         mean_stretch=mean_stretch,
         max_stretch=max_stretch,
         worst_pair=worst_pair,
@@ -761,9 +774,9 @@ def _execute_shard(
     """Route one shard and summarize it.  Only the routing itself is
     timed; engine resolution/compilation happened before."""
     t0 = time.perf_counter()
-    traces = sim.roundtrip_many(pairs, engine=engine)
+    batch = sim.roundtrip_many(pairs, engine=engine)
     elapsed = time.perf_counter() - t0
-    return _summarize(kind, pairs, traces, r_matrix, elapsed)
+    return _summarize(kind, pairs, batch, r_matrix, elapsed)
 
 
 # Process-executor worker state, installed once per worker by
@@ -908,11 +921,7 @@ def run_workload(
         kind, pairs = workload.kind, workload.pairs
     else:
         kind, pairs = "custom", list(workload)
-    for (s, t) in pairs:
-        if s == t:
-            raise GraphError(
-                f"traffic pairs need source != destination, got ({s}, {t})"
-            )
+    require_distinct(pairs)
     if jobs is not None and jobs < 1:
         raise GraphError(f"jobs must be >= 1, got {jobs}")
     bounds = plan_shards(

@@ -32,13 +32,16 @@ class ShortestPathScheme(RoutingScheme):
     Args:
         oracle: distance oracle of the graph.
         naming: adversarial node naming.
+        store: where compiled first-hop tables persist (``"auto"``: the
+            default store; ``None``: nowhere; a network passes its own).
     """
 
     name = "shortest-path"
 
-    def __init__(self, oracle: DistanceOracle, naming: Naming):
+    def __init__(self, oracle: DistanceOracle, naming: Naming, store="auto"):
         self._oracle = oracle
         self._naming = naming
+        self._store = store
         g = oracle.graph
         names = [naming.name_of(t) for t in range(g.n)]
         # table[u][dest_name] = port, from u's row of first hops
@@ -111,9 +114,13 @@ class ShortestPathScheme(RoutingScheme):
         b_ret = header_bits(ret, n)
         b_back = header_bits(back, n)
         if tables == "blocked":
-            step_tables = compile_blocked_next_hop(self._oracle)
+            step_tables = compile_blocked_next_hop(
+                self._oracle, store=self._store
+            )
         else:
-            step_tables = DenseNextHop(self._oracle.first_hop_matrix())
+            step_tables = DenseNextHop(
+                self._oracle.first_hop_matrix(store=self._store)
+            )
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]
@@ -139,4 +146,6 @@ class ShortestPathScheme(RoutingScheme):
     name_independent=False,
 )
 def _build_shortest_path(net, rng):
-    return ShortestPathScheme(net.oracle(), net.naming())
+    return ShortestPathScheme(
+        net.oracle(), net.naming(), store=net.resolved_store()
+    )

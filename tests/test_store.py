@@ -499,9 +499,12 @@ class TestEngineHooks:
 
     @pytest.mark.parametrize("tables", ["dense", "blocked"])
     def test_store_off_network_writes_nothing(self, graph, store, tables):
+        # shortest_path compiles first-hop tables, which persist only
+        # into the network's own store
         with store_override(store):
             net = Network(graph, seed=5, store=None, tables=tables)
-            net.router("stretch6").route_many([(0, 5), (3, 9)])
+            for scheme in ("stretch6", "shortest_path"):
+                net.router(scheme).route_many([(0, 5), (3, 9)])
         assert store.stats().puts == 0
         assert not list(store.entries())
 
